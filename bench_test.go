@@ -386,7 +386,7 @@ func BenchmarkMultilevelVsDirect(b *testing.B) {
 //
 // BenchmarkKernels measures achieved memory bandwidth (GB/s) for the hot
 // kernels of the GD iteration — the SpMV gradient step in its plain, masked,
-// weighted, register-blocked and reordered-layout forms, plus the one-shot
+// weighted, register-blocked, free-row-list and reordered-layout forms, plus the one-shot
 // projection — on the 573k-edge multilevel benchmark graph. cmd/benchjson
 // turns the output into BENCH_kernels.json and CI gates the floors with
 // cmd/benchgate (see .github/workflows/ci.yml, kernels-bench job).
@@ -452,7 +452,17 @@ func BenchmarkKernels(b *testing.B) {
 		return bytes * reps / time.Since(start).Seconds() / 1e9
 	}
 
-	var plain, masked, weighted, blocked, layoutDeg, layoutRCM, proj float64
+	// The free-set kernel computes exactly the rows the masked kernel does,
+	// and its measured work includes the fused gradient norm; it is charged
+	// the same bytes as spmv_masked_gbps so the two compare directly.
+	var free []int32
+	for i, f := range fixed {
+		if !f {
+			free = append(free, int32(i))
+		}
+	}
+
+	var plain, masked, weighted, blocked, freeRows, layoutDeg, layoutRCM, proj float64
 	var spmv32, blocked32 float64
 	projBytes := float64(8 * n * 4) // y, dst, and two constraint weight rows
 	py := make([]float64, n)
@@ -477,6 +487,7 @@ func BenchmarkKernels(b *testing.B) {
 		masked = gbps(spmvBytes, func() { vecmath.SpMVWeightedMaskedPool(offsets, adj, nil, x, dst, fixed, pool) })
 		weighted = gbps(spmvBytes, func() { vecmath.SpMVWeightedMaskedPool(offsets, adj, ew, x, dst, nil, pool) })
 		blocked = gbps(spmvBytes, func() { vecmath.SpMVBlockedPool(offsets, adj, nil, x, dst, nil, pool) })
+		freeRows = gbps(spmvBytes, func() { vecmath.SpMVRowsPool(offsets, adj, nil, x, dst, free, false, pool) })
 		layoutDeg = gbps(spmvBytes, func() { layDeg.SpMVMasked(x, dst, nil, pool) })
 		layoutRCM = gbps(spmvBytes, func() { layRCM.SpMVMasked(x, dst, nil, pool) })
 		spmv32 = gbps(spmv32Bytes, func() {
@@ -498,6 +509,7 @@ func BenchmarkKernels(b *testing.B) {
 	b.ReportMetric(masked, "spmv_masked_gbps")
 	b.ReportMetric(weighted, "spmv_weighted_gbps")
 	b.ReportMetric(blocked, "spmv_blocked_gbps")
+	b.ReportMetric(freeRows, "spmv_free_gbps")
 	b.ReportMetric(layoutDeg, "spmv_layout_degree_gbps")
 	b.ReportMetric(layoutRCM, "spmv_layout_rcm_gbps")
 	b.ReportMetric(spmv32, "spmv32_gbps")

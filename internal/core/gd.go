@@ -96,7 +96,7 @@ type Options struct {
 	// "gd" child span with convergence telemetry (sampled locality
 	// trajectory, iterations to 90% of final locality) and BisectWeighted a
 	// "round" span for rounding + repair. Unlike Trace, span telemetry is
-	// sampled at a fixed iteration stride and adds O(n) per sample, cheap
+	// sampled at a fixed iteration stride and adds O(free) per sample, cheap
 	// enough to leave on for every served request. Span structure and
 	// attributes are deterministic for a fixed Seed at any Workers.
 	Span *obs.Span
@@ -338,7 +338,6 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			x[i] = vecmath.ClampVal(v)
 		}
 	}
-	z := make([]float64, n)
 	grad := make([]float64, n)
 	fixed := make([]bool, n)
 	fixedWeight := make([]float64, d) // C_j = Σ_fixed w(j)·x
@@ -346,15 +345,21 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 	copy(freeWeight, totals)
 	fixedCount := 0
 
-	// Compact buffers for the free subproblem.
-	freeIdx := make([]int32, 0, n)
-	yF := make([]float64, n)
+	// The free subproblem, compacted: freeIdx lists the free vertices in
+	// ascending order, wF[j] their weights in the same order, and xF holds
+	// the step y and then its projection. The fixing pass keeps all three
+	// compact, so after t = 0 an iteration touches only free rows and free
+	// coordinates.
+	freeIdx := make([]int32, n)
+	for i := range freeIdx {
+		freeIdx[i] = int32(i)
+	}
 	xF := make([]float64, n)
+	srcF := make([]int32, n) // fixing pass: survivor k came from free position srcF[k]
 	wF := make([][]float64, d)
 	for j := range wF {
-		wF[j] = make([]float64, n)
+		wF[j] = append([]float64(nil), ws[j]...)
 	}
-	freeDirty := true
 
 	L := opt.StepLength * math.Sqrt(float64(n)) / float64(opt.Iterations)
 	gammaFrozen := opt.FixedGamma
@@ -363,7 +368,7 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 	// Reordering is a kernel-layout detail: the layout runs the register-
 	// blocked gather over a bandwidth-reduced row order but accumulates each
 	// row in its original arc order and scatters through the inverse
-	// permutation, so spmvFull stays bit-identical either way. An injected
+	// permutation, so the gradient stays bit-identical either way. An injected
 	// prep-cache layout is trusted only if its shape and weighting agree with
 	// this CSR; otherwise the solve rebuilds as if nothing were injected.
 	var lay *reorder.Layout
@@ -387,7 +392,26 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			vecmath.Convert32Pool(ew32, wg.EW, pool)
 		}
 	}
-	spmvFull := func() {
+	// freeSums returns Σ_free grad² and, when dot is set, Σ_free z·grad,
+	// reduced over the free list in the chunk order of a masked full-length
+	// reduction, so both keep their bits whichever kernel filled grad.
+	freeSums := func(z []float64, dot bool) (float64, float64) {
+		return pool.ReduceRows2(n, freeIdx, func(seg []int32) (float64, float64) {
+			s, q := 0.0, 0.0
+			for _, i := range seg {
+				g := grad[i]
+				s += g * g
+				if dot {
+					q += z[i] * g
+				}
+			}
+			return s, q
+		})
+	}
+	// gradient sets grad = A_w·z on the free rows and returns freeSums. The
+	// default path fuses both into one register-blocked pass over the free
+	// rows; the layout and 32-bit kernels keep their own masked SpMVs.
+	gradient := func(z []float64, dot bool) (float64, float64) {
 		switch {
 		case lay != nil && opt.Kernel32:
 			lay.SpMVMasked32(z, grad, fixed, pool)
@@ -397,8 +421,9 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			vecmath.Convert32Pool(x32, z, pool)
 			vecmath.SpMVBlocked32Pool(wg.Offsets, wg.Adj, ew32, x32, grad, fixed, pool)
 		default:
-			vecmath.SpMVWeightedMaskedPool(wg.Offsets, wg.Adj, wg.EW, z, grad, fixed, pool)
+			return vecmath.SpMVRowsPool(wg.Offsets, wg.Adj, wg.EW, z, grad, freeIdx, dot, pool)
 		}
+		return freeSums(z, dot)
 	}
 
 	// Incremental-gradient state: prevZ is the input the current grad was
@@ -424,12 +449,14 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 		}
 		itersRun++
 
-		copy(z, x)
+		// z is the point the gradient step starts from: x itself, except for
+		// the t = 0 noise kick, which perturbs a copy. (No vertex is fixed
+		// yet at t = 0.)
+		z := x
 		if t == 0 && opt.WarmStart == nil {
-			for i := 0; i < n; i++ {
-				if !fixed[i] {
-					z[i] += rng.NormFloat64() * opt.NoiseScale
-				}
+			z = make([]float64, n)
+			for i := range z {
+				z[i] = x[i] + rng.NormFloat64()*opt.NoiseScale
 			}
 		}
 
@@ -490,8 +517,16 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 				incremental = true
 			}
 		}
-		if !incremental {
-			spmvFull()
+		// On sampling iterations the trajectory's Σ z·grad rides along with
+		// the norm reduction, taken before the saddle fallback below can
+		// overwrite grad. The norm accumulates in the same order either way,
+		// so gnorm is bit-identical with tracing off.
+		sample := conv != nil && conv.wantSample(t)
+		var normSq, freeQuad float64
+		if incremental {
+			normSq, freeQuad = freeSums(z, sample)
+		} else {
+			normSq, freeQuad = gradient(z, sample)
 			sinceFull = 0
 			// Keeping prevZ fresh costs a full vector copy; pay it only if
 			// the next iteration is actually allowed to use it.
@@ -502,41 +537,11 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 				gradValid = false
 			}
 		}
-		gradIsNoise := false
-		maskedNormSq := func() float64 {
-			return pool.ReduceSum(n, func(lo, hi int) float64 {
-				s := 0.0
-				for i := lo; i < hi; i++ {
-					if !fixed[i] {
-						s += grad[i] * grad[i]
-					}
-				}
-				return s
-			})
-		}
-		var gnorm float64
-		if conv != nil && conv.wantSample(t) {
-			// Sampling iteration: fold the trajectory's Σ z·grad into the
-			// norm reduction so the sample costs one extra vector read, and
-			// take it before the saddle fallback below can overwrite grad.
-			// The norm partials accumulate in the same order as the unfused
-			// reduction, so gnorm is bit-identical with tracing off.
-			normSq, freeQuad := pool.ReduceSum2(n, func(lo, hi int) (float64, float64) {
-				s, q := 0.0, 0.0
-				for i := lo; i < hi; i++ {
-					if !fixed[i] {
-						g := grad[i]
-						s += g * g
-						q += z[i] * g
-					}
-				}
-				return s, q
-			})
+		if sample {
 			conv.record(t, freeQuad)
-			gnorm = math.Sqrt(normSq)
-		} else {
-			gnorm = math.Sqrt(maskedNormSq())
 		}
+		gradIsNoise := false
+		gnorm := math.Sqrt(normSq)
 		if gnorm < 1e-12 {
 			// Saddle/flat region: fall back to a random direction so the
 			// iteration still makes progress (noise escape, §2.1 Step 1).
@@ -544,12 +549,11 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			// must recompute from scratch next iteration.
 			gradValid = false
 			gradIsNoise = true
-			for i := 0; i < n; i++ {
-				if !fixed[i] {
-					grad[i] = rng.NormFloat64()
-				}
+			for _, i := range freeIdx {
+				grad[i] = rng.NormFloat64()
 			}
-			gnorm = math.Sqrt(maskedNormSq())
+			normSq, _ = freeSums(z, false)
+			gnorm = math.Sqrt(normSq)
 			if gnorm == 0 {
 				break
 			}
@@ -562,21 +566,8 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			gamma = gammaFrozen
 		}
 
-		if freeDirty {
-			freeIdx = freeIdx[:0]
-			for i := 0; i < n; i++ {
-				if !fixed[i] {
-					freeIdx = append(freeIdx, int32(i))
-				}
-			}
-			for j := 0; j < d; j++ {
-				for fi, i := range freeIdx {
-					wF[j][fi] = ws[j][i]
-				}
-			}
-			freeDirty = false
-		}
 		nf := len(freeIdx)
+		xs := xF[:nf]
 		cons := make([]project.Constraint, d)
 		for j := 0; j < d; j++ {
 			lo := targets[j] - halves[j] - fixedWeight[j]
@@ -599,20 +590,22 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 
 		stepNorm := 0.0
 		for attempt := 0; ; attempt++ {
+			// y = z + γ·grad is built in xs and projected in place; z and
+			// grad are untouched, so a doubled retry rebuilds it from them.
 			pool.For(nf, func(lo, hi int) {
 				for fi := lo; fi < hi; fi++ {
 					i := freeIdx[fi]
-					yF[fi] = z[i] + gamma*grad[i]
+					xs[fi] = z[i] + gamma*grad[i]
 				}
 			})
-			if err := project.Project(xF[:nf], yF[:nf], cons, opt.Projection, &st); err != nil {
+			if err := project.Project(xs, xs, cons, opt.Projection, &st); err != nil {
 				return nil, nil, 0, nil, nil, nil,
 					fmt.Errorf("core: projection failed at iteration %d: %w", t, err)
 			}
 			stepNorm = math.Sqrt(pool.ReduceSum(nf, func(lo, hi int) float64 {
 				s := 0.0
 				for fi := lo; fi < hi; fi++ {
-					dlt := xF[fi] - x[freeIdx[fi]]
+					dlt := xs[fi] - x[freeIdx[fi]]
 					s += dlt * dlt
 				}
 				return s
@@ -628,15 +621,23 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			}
 			gamma *= 2
 		}
-		pool.For(nf, func(lo, hi int) {
-			for fi := lo; fi < hi; fi++ {
-				x[freeIdx[fi]] = xF[fi]
-			}
-		})
 
-		if opt.VertexFixing {
-			for _, i := range freeIdx {
-				if v := x[i]; v >= opt.FixThreshold || v <= -opt.FixThreshold {
+		if !opt.VertexFixing {
+			pool.For(nf, func(lo, hi int) {
+				for fi := lo; fi < hi; fi++ {
+					x[freeIdx[fi]] = xs[fi]
+				}
+			})
+		} else {
+			// One ascending pass scatters the step into x, snaps coordinates
+			// past the threshold to ±1 and compacts freeIdx over the
+			// survivors in place, recording where each survivor came from;
+			// each wF[j] is then compacted from the first fix on. The next
+			// projection sees exactly the arrays a from-scratch rebuild would
+			// produce.
+			kept, firstFix := 0, nf
+			for fi, i := range freeIdx {
+				if v := xs[fi]; v >= opt.FixThreshold || v <= -opt.FixThreshold {
 					snapped := 1.0
 					if v < 0 {
 						snapped = -1.0
@@ -644,10 +645,9 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 					x[i] = snapped
 					fixed[i] = true
 					fixedCount++
-					freeDirty = true
-					for j := 0; j < d; j++ {
-						fixedWeight[j] += ws[j][i] * snapped
-						freeWeight[j] -= ws[j][i]
+					for j, w := range wF {
+						fixedWeight[j] += w[fi] * snapped
+						freeWeight[j] -= w[fi]
 					}
 					if conv != nil {
 						// After the saddle fallback grad holds noise, not row
@@ -659,8 +659,20 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 						}
 						conv.onFix(gi, snapped)
 					}
+					firstFix = min(firstFix, kept)
+					continue
+				}
+				x[i] = xs[fi]
+				freeIdx[kept] = i
+				srcF[kept] = int32(fi)
+				kept++
+			}
+			for _, w := range wF {
+				for k := firstFix; k < kept; k++ {
+					w[k] = w[srcF[k]]
 				}
 			}
+			freeIdx = freeIdx[:kept]
 		}
 
 		if opt.Trace != nil {

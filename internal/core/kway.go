@@ -105,6 +105,10 @@ func recurse(sub *graph.Graph, ws [][]float64, ids []int32, k, base int, opt Opt
 		}
 		return nil
 	}
+	// The caller created sp before this branch was scheduled; its clock
+	// starts now, so waiting for a sibling subtree is not counted as time
+	// spent in this one.
+	sp.Begin()
 	defer sp.End()
 	k1 := (k + 1) / 2
 	o := opt
@@ -174,8 +178,10 @@ func recurse(sub *graph.Graph, ws [][]float64, ids []int32, k, base int, opt Opt
 	}
 	// Child spans are created here, in the parent's goroutine and in fixed
 	// left-then-right order, BEFORE the left branch may fork: sibling order
-	// in the trace is part of the determinism contract. A k==1 child runs no
-	// bisection and gets no span.
+	// in the trace is part of the determinism contract. Each child's clock
+	// starts when its branch begins (recurse calls Begin), so when the
+	// branches run serially the right span does not also cover the left
+	// subtree. A k==1 child runs no bisection and gets no span.
 	var spLeft, spRight *obs.Span
 	if k1 > 1 {
 		spLeft = sp.Start("bisect")

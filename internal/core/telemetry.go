@@ -13,11 +13,11 @@ import (
 // span tree, cheaply enough to leave on in production: the <2% trace-overhead
 // budget rules out touching the arc arrays per sample (the naive
 // ExpectedLocalityWeighted pass is one extra SpMV each), so samples are
-// computed in O(n) from state the loop already has.
+// computed in O(free vertices) from state the loop already has.
 //
 // At sample time grad holds the masked gradient A_w·z — exact row sums for
 // every FREE row — so the free half of zᵀA_wz is Σ_{u free} z_u·grad_u, one
-// sequential pass over vectors already hot in cache. Fixed rows are skipped
+// multiply-add per free row inside the gradient pass. Fixed rows are skipped
 // by the masked SpMV, and recovering their true row sums would cost arc-array
 // work the budget does not allow; instead each vertex contributes
 // x_u·(A_w·z)_u frozen at the moment it locks (its gradient entry is still
@@ -82,9 +82,9 @@ func (c *convSampler) onFix(gi, xi float64) {
 }
 
 // wantSample reports whether iteration t falls on the sampling stride. The
-// caller then folds Σ_{u free} z_u·grad_u into the masked-norm reduction it
-// performs anyway and hands the sum to record — fusing the two passes keeps
-// a sample's marginal cost to the one extra z read.
+// caller then folds Σ_{u free} z_u·grad_u into the gradient-norm reduction
+// it performs anyway and hands the sum to record — fusing the two keeps a
+// sample's marginal cost to one z read per free row.
 func (c *convSampler) wantSample(t int) bool {
 	return t%c.stride == 0
 }

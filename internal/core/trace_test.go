@@ -77,6 +77,46 @@ func TestSpanStructureDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestBisectSpanStartsWithItsBranch checks that a bisect span's clock starts
+// when its branch begins, not when the parent creates it: at workers=1 the
+// branches run one after the other, so every right sibling must start no
+// earlier than its left sibling ends.
+func TestBisectSpanStartsWithItsBranch(t *testing.T) {
+	g, _ := gen.SBM(gen.SBMConfig{N: 600, Communities: 4, AvgDegree: 10, InFraction: 0.85, Seed: 11})
+	ws := vertexEdgeWeights(g)
+	opt := DefaultOptions()
+	opt.Seed = 3
+	opt.Iterations = 25
+	opt.Workers = 1
+	root := obs.NewTrace("solve")
+	opt.Span = root
+	if _, err := PartitionK(g, ws, 8, opt); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	pairs := 0
+	root.Snapshot().Walk(func(v *obs.SpanView) {
+		var kids []*obs.SpanView
+		for _, c := range v.Children {
+			if c.Name == "bisect" {
+				kids = append(kids, c)
+			}
+		}
+		if len(kids) != 2 {
+			return
+		}
+		pairs++
+		left, right := kids[0], kids[1]
+		if leftEnd := left.StartUS + left.DurUS; right.StartUS < leftEnd {
+			t.Fatalf("right bisect span starts at %dus, before its left sibling ends at %dus", right.StartUS, leftEnd)
+		}
+	})
+	// k=8: the root's children and both k=4 nodes' children are pairs.
+	if pairs != 3 {
+		t.Fatalf("found %d sibling bisect pairs, want 3", pairs)
+	}
+}
+
 // TestGDSpanConvergenceTelemetry checks the gd span carries the sampled
 // trajectory and the derived convergence attributes, and that the round span
 // reports repair moves.

@@ -112,8 +112,11 @@ func (g *Graph) String() string {
 
 // Validate checks the CSR invariants: monotone offsets, in-range sorted
 // deduplicated adjacency without self loops, and symmetry (u in adj(v) iff
-// v in adj(u)). It is intended for tests and debugging; it runs in
-// O(n + m log d) time.
+// v in adj(u)). It runs in O(n + m) time: the offsets are checked first, so
+// every row can be indexed safely, and symmetry is a cursor merge — rows are
+// visited in ascending order, so the vertices that list w arrive in
+// ascending order too, and one forward cursor per row finds each reverse
+// arc where a sorted row must hold it.
 func (g *Graph) Validate() error {
 	n := g.N()
 	if len(g.offsets) > 0 {
@@ -128,6 +131,11 @@ func (g *Graph) Validate() error {
 		if g.offsets[v] > g.offsets[v+1] {
 			return fmt.Errorf("graph: offsets not monotone at %d", v)
 		}
+	}
+	// cur[w] is the first arc of row w not yet passed by the merge.
+	cur := make([]int64, n)
+	copy(cur, g.offsets)
+	for v := 0; v < n; v++ {
 		ns := g.Neighbors(v)
 		for i, w := range ns {
 			if int(w) < 0 || int(w) >= n {
@@ -139,9 +147,17 @@ func (g *Graph) Validate() error {
 			if i > 0 && ns[i-1] >= w {
 				return fmt.Errorf("graph: adjacency of %d not strictly sorted", v)
 			}
-			if !g.HasEdge(int(w), v) {
+			// Entries of row w below v have no reverse arc among the rows
+			// already visited; they are skipped here and reported when row
+			// w itself is checked.
+			c, end := cur[w], g.offsets[w+1]
+			for c < end && int(g.adj[c]) < v {
+				c++
+			}
+			if c == end || int(g.adj[c]) != v {
 				return fmt.Errorf("graph: edge %d->%d not symmetric", v, w)
 			}
+			cur[w] = c + 1
 		}
 	}
 	return nil

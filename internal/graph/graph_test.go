@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -313,5 +315,103 @@ func TestStringer(t *testing.T) {
 	g := path(3)
 	if got := g.String(); got != "graph{n=3 m=2}" {
 		t.Fatalf("String()=%q", got)
+	}
+}
+
+func TestValidateRejects(t *testing.T) {
+	cases := []struct {
+		name    string
+		offsets []int64
+		adj     []int32
+		want    string
+	}{
+		{"offsets start", []int64{1, 1}, []int32{}, "graph: offsets[0] = 1, want 0"},
+		{"offsets end", []int64{0, 1}, []int32{}, "graph: offsets[n] = 1, want 0"},
+		{"offsets not monotone", []int64{0, 2, 1, 2}, []int32{1, 2}, "graph: offsets not monotone at 1"},
+		{"out-of-range neighbor", []int64{0, 1, 1}, []int32{5}, "graph: vertex 0 has out-of-range neighbor 5"},
+		{"self loop", []int64{0, 1, 1}, []int32{0}, "graph: self loop at 0"},
+		{"unsorted row", []int64{0, 2, 3, 4}, []int32{2, 1, 0, 0}, "graph: adjacency of 0 not strictly sorted"},
+		{"duplicate arc", []int64{0, 2, 3}, []int32{1, 1, 0}, "graph: adjacency of 0 not strictly sorted"},
+		// 0 lists 1 and 2, but 2 does not list 0.
+		{"higher neighbor's reverse arc missing", []int64{0, 2, 3, 3}, []int32{1, 2, 0}, "graph: edge 0->2 not symmetric"},
+		// 2 lists 0, but 0 does not list 2.
+		{"lower neighbor's reverse arc missing", []int64{0, 1, 2, 3}, []int32{1, 0, 0}, "graph: edge 2->0 not symmetric"},
+		// 3 lists 0, but 0 (of higher degree) does not list 3. A per-arc
+		// HasEdge(0, 3) searches the smaller row, 3's, and finds the arc.
+		{"reverse arc missing from a higher-degree row", []int64{0, 2, 3, 4, 5}, []int32{1, 2, 0, 0, 0}, "graph: edge 3->0 not symmetric"},
+		// Row 2 holds the reverse arc 2->0, but behind 2->1 in an unsorted
+		// row: the first arc that looks for it reports the asymmetry.
+		{"reverse arc present but out of place", []int64{0, 2, 4, 6}, []int32{1, 2, 0, 2, 1, 0}, "graph: edge 0->2 not symmetric"},
+		// Row 2 holds 1's reverse arc behind an entry (0) that 0 never
+		// lists back: the unmatched entry is reported, not the pair 1-2.
+		{"reverse arc behind an unmatched entry", []int64{0, 0, 1, 3}, []int32{2, 0, 1}, "graph: edge 2->0 not symmetric"},
+	}
+	for _, tc := range cases {
+		err := FromCSR(tc.offsets, tc.adj).Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// validateByBinarySearch is an O(m log d) reference symmetry check: one
+// binary search of row w for v per arc v->w, in row-major order.
+func validateByBinarySearch(g *Graph) error {
+	for v := 0; v < g.N(); v++ {
+		for _, w := range g.Neighbors(v) {
+			if _, ok := slices.BinarySearch(g.Neighbors(int(w)), int32(v)); !ok {
+				return fmt.Errorf("graph: edge %d->%d not symmetric", v, w)
+			}
+		}
+	}
+	return nil
+}
+
+// TestValidateSymmetryMatchesBinarySearch checks that on CSRs with sorted
+// rows the cursor merge reports exactly the asymmetry the per-arc binary
+// search did: random graphs lose or gain one direction of random arcs.
+func TestValidateSymmetryMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rejected := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(30)
+		b := NewBuilder(n)
+		for i := 0; i < 2*n; i++ {
+			b.AddEdge(rng.Intn(n), rng.Intn(n))
+		}
+		g := b.Build()
+		rows := make([][]int32, n)
+		for v := range rows {
+			rows[v] = append([]int32(nil), g.Neighbors(v)...)
+		}
+		for e := rng.Intn(3); e > 0; e-- {
+			v := rng.Intn(n)
+			if len(rows[v]) > 0 && rng.Intn(2) == 0 {
+				i := rng.Intn(len(rows[v]))
+				rows[v] = append(rows[v][:i], rows[v][i+1:]...)
+				continue
+			}
+			if w := int32(rng.Intn(n)); int(w) != v && !slices.Contains(rows[v], w) {
+				rows[v] = append(rows[v], w)
+				slices.Sort(rows[v])
+			}
+		}
+		offsets := []int64{0}
+		var adj []int32
+		for _, r := range rows {
+			adj = append(adj, r...)
+			offsets = append(offsets, int64(len(adj)))
+		}
+		h := FromCSR(offsets, adj)
+		got, want := h.Validate(), validateByBinarySearch(h)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: Validate() = %v, binary search says %v", trial, got, want)
+		}
+		if got != nil {
+			rejected++
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no trial produced an asymmetric CSR")
 	}
 }

@@ -78,6 +78,19 @@ func (s *Span) Start(name string) *Span {
 	return c
 }
 
+// Begin restarts the span's clock now. A span created ahead of the work it
+// times — so that sibling order is fixed before the work is scheduled —
+// calls it when that work starts, so its duration never counts the wait.
+func (s *Span) Begin() {
+	if s == nil {
+		return
+	}
+	now := time.Since(s.tr.epoch)
+	s.tr.lock()
+	s.start = now
+	s.tr.unlock()
+}
+
 // End marks the span finished, recording its duration. Idempotent: the first
 // End wins.
 func (s *Span) End() {

@@ -59,14 +59,21 @@ func TestStructureExcludesTiming(t *testing.T) {
 	}
 }
 
+// TestSnapshotWhileLive snapshots a tree while another goroutine grows it.
+// The writer stops after maxSpans children or as soon as the reader is done,
+// so the tree — and each of the reader's deep copies — stays bounded; the
+// reader starts once the first child exists, so its snapshots overlap live
+// writes and -race checks them.
 func TestSnapshotWhileLive(t *testing.T) {
+	const maxSpans = 1000
 	root := NewTrace("r")
 	var wg sync.WaitGroup
+	started := make(chan struct{})
 	stop := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for i := 0; i < maxSpans; i++ {
 			select {
 			case <-stop:
 				return
@@ -75,8 +82,12 @@ func TestSnapshotWhileLive(t *testing.T) {
 			c := root.Start("c")
 			c.SetAttr("i", i)
 			c.End()
+			if i == 0 {
+				close(started)
+			}
 		}
 	}()
+	<-started
 	for i := 0; i < 100; i++ {
 		v := root.Snapshot()
 		if _, err := json.Marshal(v); err != nil {
@@ -85,6 +96,20 @@ func TestSnapshotWhileLive(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+func TestBeginRestartsClock(t *testing.T) {
+	var nilSpan *Span
+	nilSpan.Begin() // no-op on nil
+	root := NewTrace("r")
+	c := root.Start("c")
+	created := c.Snapshot().StartUS
+	time.Sleep(5 * time.Millisecond)
+	c.Begin()
+	c.End()
+	if got := c.Snapshot().StartUS; got < created+5000 {
+		t.Fatalf("Begin left start at %dus, want >= %dus", got, created+5000)
+	}
 }
 
 func TestEndIdempotent(t *testing.T) {

@@ -99,10 +99,19 @@ func FuzzProject(f *testing.F) {
 				if err != nil {
 					continue // infeasible instance: nothing more to check
 				}
+				// In place: dst == y must give the same bits as a separate dst.
+				inPlace := append([]float64(nil), y...)
+				if err := Project(inPlace, inPlace, cons, opt, nil); err != nil {
+					t.Fatalf("%v center=%v: in-place projection failed: %v", m, center, err)
+				}
 				for i := range dst {
 					if dst[i] != dstP[i] {
 						t.Fatalf("%v center=%v: output[%d] differs across workers: %v vs %v",
 							m, center, i, dst[i], dstP[i])
+					}
+					if math.Float64bits(dst[i]) != math.Float64bits(inPlace[i]) {
+						t.Fatalf("%v center=%v: in-place output[%d] = %v, want %v",
+							m, center, i, inPlace[i], dst[i])
 					}
 				}
 				checkBoxAndFinite(t, m.String(), dst)

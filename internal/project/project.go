@@ -201,8 +201,8 @@ func Feasible(x []float64, cons []Constraint, tol float64) bool {
 	return true
 }
 
-// Project projects y onto K and writes the result into dst (dst may alias
-// y). The warm-start state st may be nil.
+// Project projects y onto K and writes the result into dst; dst may be y
+// itself, projecting in place. The warm-start state st may be nil.
 func Project(dst, y []float64, cons []Constraint, opt Options, st *State) error {
 	if len(dst) != len(y) {
 		return fmt.Errorf("project: dst len %d != y len %d", len(dst), len(y))
@@ -220,6 +220,11 @@ func Project(dst, y []float64, cons []Constraint, opt Options, st *State) error 
 			}
 		}
 	}
+	// The exact and nested methods read y after they start writing dst, so
+	// an in-place call hands them a private copy of y.
+	if (opt.Method == Exact || opt.Method == Nested) && sameSlice(dst, y) {
+		y = append([]float64(nil), y...)
+	}
 	switch opt.Method {
 	case AlternatingOneShot, Alternating:
 		return alternating(dst, y, cons, opt, opt.pool())
@@ -231,6 +236,11 @@ func Project(dst, y []float64, cons []Constraint, opt Options, st *State) error 
 		return nested(dst, y, cons, opt.delta(), st)
 	}
 	return fmt.Errorf("project: unknown method %v", opt.Method)
+}
+
+// sameSlice reports whether a and b start at the same element.
+func sameSlice(a, b []float64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // --- Pooled coordinate-wise helpers --------------------------------------
@@ -319,7 +329,9 @@ func hyperplaneProject(x []float64, w []float64, c float64) {
 // project onto each slab (or its center hyperplane when opt.Center) and then
 // onto the cube, once for one-shot mode or until the point is feasible.
 func alternating(dst, y []float64, cons []Constraint, opt Options, pool *vecmath.Pool) error {
-	copy(dst, y)
+	if !sameSlice(dst, y) {
+		copy(dst, y)
+	}
 	passes := 1
 	if opt.Method == Alternating {
 		passes = opt.maxIter()

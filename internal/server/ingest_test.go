@@ -290,6 +290,30 @@ func asymmetricWireBody(t *testing.T, n, deg int) []byte {
 	return buf.Bytes()
 }
 
+// hubMissingArcsWireBody encodes a stream in which every vertex lists the hub
+// 0, but the hub lists only 1, 2 and 3: the missing reverse arcs belong to
+// the highest-degree row.
+func hubMissingArcsWireBody(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc, err := wire.NewEncoder(&buf, n, int64(3+n-1), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.AddRow([]int32{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v < n; v++ {
+		if err := enc.AddRow([]int32{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestBinaryRejectsAsymmetric: the engines assume a symmetric canonical CSR,
 // so both ingest paths must refuse an asymmetric stream — the resident path
 // via Graph.Validate, the out-of-core path via the streaming pairing check —
@@ -302,6 +326,10 @@ func TestBinaryRejectsAsymmetric(t *testing.T) {
 	}
 	if msg, _ := m["error"].(string); !strings.Contains(msg, "symmetric") {
 		t.Fatalf("resident rejection does not mention symmetry: %v", m)
+	}
+	code, m = submitWire(t, ts, "k=2", hubMissingArcsWireBody(t, 8))
+	if msg, _ := m["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "edge 4->0 not symmetric") {
+		t.Fatalf("resident upload missing the hub's reverse arcs: status %d (%v), want 400 naming edge 4->0", code, m)
 	}
 
 	spillDir := t.TempDir()

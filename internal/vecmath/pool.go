@@ -2,6 +2,7 @@ package vecmath
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -144,4 +145,24 @@ func (p *Pool) ReduceSum2(n int, fn func(lo, hi int) (float64, float64)) (float6
 		sb += v[1]
 	}
 	return sa, sb
+}
+
+// ReduceRows2 is ReduceSum2 over a strictly ascending list of indices in
+// [0, n) instead of over all of [0, n): for every fixed chunk of [0, n), fn
+// receives the sub-slice of rows that falls in that chunk (chunks without
+// rows contribute zeros), and ReduceSum2 adds the results in chunk order.
+// That is exactly the association of ReduceSum2 over a loop that skips
+// unlisted indices, so a sum over a compacted index list is bit-identical to
+// the masked full-length one at any worker count, at O(len(rows)) cost.
+func (p *Pool) ReduceRows2(n int, rows []int32, fn func(seg []int32) (float64, float64)) (float64, float64) {
+	firstAtLeast := func(v int) int {
+		return sort.Search(len(rows), func(i int) bool { return int(rows[i]) >= v })
+	}
+	return p.ReduceSum2(n, func(lo, hi int) (float64, float64) {
+		a, b := firstAtLeast(lo), firstAtLeast(hi)
+		if a == b {
+			return 0, 0
+		}
+		return fn(rows[a:b])
+	})
 }
