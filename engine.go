@@ -144,10 +144,11 @@ func resolveWeights(g *Graph, opts Options) ([][]float64, error) {
 
 // buildResult scores an assignment against the solve's weight dimensions.
 func buildResult(g *Graph, ws [][]float64, asgn *Assignment) *Result {
+	cut := partition.CutEdges(g, asgn)
 	res := &Result{
 		Assignment:   asgn,
-		EdgeLocality: partition.EdgeLocality(g, asgn),
-		CutEdges:     partition.CutEdges(g, asgn),
+		EdgeLocality: partition.LocalityFromCut(cut, g.M()),
+		CutEdges:     cut,
 	}
 	for _, w := range ws {
 		res.Imbalances = append(res.Imbalances, partition.Imbalance(asgn, w))

@@ -1,6 +1,7 @@
 package mdbgp
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -271,4 +272,60 @@ func (stripeEngine) Solve(g *Graph, opts Options) (*Result, error) {
 		a.Parts[v] = int32(p)
 	}
 	return buildResult(g, ws, a), nil
+}
+
+// TestEnginesLeaveWeightsUntouched: a front end may hand every solve of a
+// graph the same balance vectors through Options.Weights (the daemon keeps
+// PageRank and neighbor-degree vectors per retained graph), so no engine —
+// cold, warm, or with an injected hierarchy — may write to them.
+func TestEnginesLeaveWeightsUntouched(t *testing.T) {
+	g := engineTestGraph(t)
+	ws, err := StandardWeights(g, WeightVertices, WeightEdges, WeightNeighborDegrees, WeightPageRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func() [][]uint64 {
+		out := make([][]uint64, len(ws))
+		for i, w := range ws {
+			for _, x := range w {
+				out[i] = append(out[i], math.Float64bits(x))
+			}
+		}
+		return out
+	}
+	want := bits()
+	check := func(what string) {
+		t.Helper()
+		if !reflect.DeepEqual(bits(), want) {
+			t.Fatalf("%s wrote to Options.Weights", what)
+		}
+	}
+	for _, info := range builtinEngines() {
+		opts := Options{Engine: info.Name, K: 4, Seed: 42, Iterations: 40, Weights: ws}
+		res, err := Partition(g, opts)
+		if err != nil {
+			t.Fatalf("%s cold: %v", info.Name, err)
+		}
+		check(info.Name + " cold")
+		if info.WarmStart {
+			opts.WarmAssignment = append([]int32(nil), res.Assignment.Parts...)
+			if _, err := Partition(g, opts); err != nil {
+				t.Fatalf("%s warm: %v", info.Name, err)
+			}
+			check(info.Name + " warm")
+		}
+	}
+	for _, engine := range []string{"multilevel", "metis"} {
+		opts := Options{Engine: engine, K: 4, Seed: 42, Iterations: 40, Weights: ws}
+		ph, err := PrepareHierarchy(g, opts)
+		if err != nil {
+			t.Fatalf("%s hierarchy: %v", engine, err)
+		}
+		check(engine + " hierarchy build")
+		opts.PrepHierarchy = ph
+		if _, err := Partition(g, opts); err != nil {
+			t.Fatalf("%s with hierarchy: %v", engine, err)
+		}
+		check(engine + " solve with an injected hierarchy")
+	}
 }

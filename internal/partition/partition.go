@@ -72,10 +72,16 @@ func CutEdges(g *graph.Graph, a *Assignment) int64 {
 // number of local messages in a vertex-centric job). Returns 1 for edgeless
 // graphs.
 func EdgeLocality(g *graph.Graph, a *Assignment) float64 {
-	if g.M() == 0 {
+	return LocalityFromCut(CutEdges(g, a), g.M())
+}
+
+// LocalityFromCut is the edge locality of a partition that cuts cut of a
+// graph's m edges: 1 − cut/m, and 1 for edgeless graphs.
+func LocalityFromCut(cut, m int64) float64 {
+	if m == 0 {
 		return 1
 	}
-	return 1 - float64(CutEdges(g, a))/float64(g.M())
+	return 1 - float64(cut)/float64(m)
 }
 
 // Loads returns the per-part totals of a weight function.

@@ -134,6 +134,10 @@ func resultBytes(res *mdbgp.Result) int64 {
 // degrades the affected deltas to "resubmit the full graph", which is why
 // the cache is bounded separately from (and typically smaller than) the
 // result cache. Stored graphs are immutable and shared across requests.
+//
+// An entry also keeps its graph's edge-traversing balance vectors (see
+// retainedDim) once a solve has computed them, charged to the entry's bytes
+// so the gauge and eviction release them together with the graph.
 type graphCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -147,6 +151,9 @@ type graphEntry struct {
 	key   string
 	g     *mdbgp.Graph
 	bytes int64
+	// vecs holds the retained balance vectors of g by dimension; shared
+	// read-only with every solve of g.
+	vecs map[mdbgp.Weight][]float64
 }
 
 func newGraphCache(capacity int) *graphCache {
@@ -157,10 +164,10 @@ func newGraphCache(capacity int) *graphCache {
 // inserting g when the hash is new, plus how many entries were evicted. Every
 // same-content submission is handed back the SAME *mdbgp.Graph — beyond
 // deduplicating memory, pointer identity is what the prep cache's artifacts
-// are validated against, so canonicalization is what lets a repeat submission
-// (or a zero-churn delta) reuse a prepared layout or hierarchy at all. With
-// the cache disabled each submission keeps its own instance and prep reuse
-// degrades to per-instance.
+// and the retained balance vectors are validated against, so
+// canonicalization is what lets a repeat submission (or a zero-churn delta)
+// reuse them at all. With the cache disabled each submission keeps its own
+// instance and nothing is reused.
 func (c *graphCache) getOrPut(hash string, g *mdbgp.Graph) (*mdbgp.Graph, int) {
 	if c.capacity <= 0 {
 		return g, 0
@@ -199,33 +206,78 @@ func (c *graphCache) get(hash string) (*mdbgp.Graph, bool) {
 	return el.Value.(*graphEntry).g, true
 }
 
-// put inserts or refreshes the graph under its hash and returns how many
-// entries were evicted.
-func (c *graphCache) put(hash string, g *mdbgp.Graph) int {
-	if c.capacity <= 0 {
-		return 0
+// retainedDim reports whether the graph cache keeps a dimension's vector on
+// the graph's entry: the edge-traversing ones (neighbor-degree sums, and
+// PageRank at 20 passes over the edges) cost far more to rebuild than their
+// 8 bytes per vertex cost to keep. Vertex and degree vectors take one O(n)
+// pass and are rebuilt per solve.
+func retainedDim(d mdbgp.Weight) bool {
+	return d == mdbgp.WeightNeighborDegrees || d == mdbgp.WeightPageRank
+}
+
+// weights materializes g's balance vectors for dims, in order, bit for bit
+// what mdbgp.StandardWeights(g, dims...) returns. Retained dimensions are
+// read from the entry under hash when that entry still holds this instance
+// of g; missing ones are computed outside the lock and stored only if the
+// entry still holds this instance afterwards, so a vector never lands on (or
+// outlives the eviction of) any other graph. cached reports that there was
+// a retained dimension and every retained vector came from the entry.
+// Retained vectors are shared by every solve of g and must not be written.
+func (c *graphCache) weights(hash string, g *mdbgp.Graph, dims []mdbgp.Weight) (ws [][]float64, cached bool, err error) {
+	ws = make([][]float64, len(dims))
+	c.mu.Lock()
+	if e := c.entryFor(hash, g); e != nil {
+		for i, d := range dims {
+			ws[i] = e.vecs[d]
+		}
+	}
+	c.mu.Unlock()
+	retained, computed := false, false
+	for i, d := range dims {
+		retained = retained || retainedDim(d)
+		if ws[i] != nil {
+			continue
+		}
+		v, err := mdbgp.StandardWeights(g, d)
+		if err != nil {
+			return nil, false, err
+		}
+		ws[i] = v[0]
+		computed = computed || retainedDim(d)
+	}
+	if !computed {
+		return ws, retained, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := c.entryFor(hash, g)
+	if e == nil {
+		return ws, false, nil
+	}
+	for i, d := range dims {
+		if !retainedDim(d) || e.vecs[d] != nil {
+			continue
+		}
+		if e.vecs == nil {
+			e.vecs = make(map[mdbgp.Weight][]float64)
+		}
+		e.vecs[d] = ws[i]
+		nb := vecBytes(ws[i])
+		e.bytes += nb
+		c.bytes += nb
+	}
+	return ws, false, nil
+}
+
+// entryFor returns the entry under hash if it holds exactly this instance of
+// g, else nil. Callers hold mu.
+func (c *graphCache) entryFor(hash string, g *mdbgp.Graph) *graphEntry {
 	if el, ok := c.items[hash]; ok {
-		// Same hash means the same canonical CSR; just refresh recency.
-		c.ll.MoveToFront(el)
-		return 0
+		if e := el.Value.(*graphEntry); e.g == g {
+			return e
+		}
 	}
-	e := &graphEntry{key: hash, g: g, bytes: graphEntryBytes(hash, g)}
-	c.items[hash] = c.ll.PushFront(e)
-	c.bytes += e.bytes
-	evicted := 0
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		old := back.Value.(*graphEntry)
-		c.ll.Remove(back)
-		delete(c.items, old.key)
-		c.bytes -= old.bytes
-		evicted++
-	}
-	clampBytes(&c.bytes, &c.clamps)
-	return evicted
+	return nil
 }
 
 func (c *graphCache) stats() (entries int, bytes int64) {
@@ -241,8 +293,9 @@ func (c *graphCache) clampCount() int64 {
 	return c.clamps
 }
 
-// graphEntryBytes is the full accounted size of one graph-cache entry: the
-// CSR payload plus the hash key and the per-entry bookkeeping.
+// graphEntryBytes is the accounted size of one graph-cache entry before any
+// balance vector is retained on it: the CSR payload plus the hash key and
+// the per-entry bookkeeping.
 func graphEntryBytes(hash string, g *mdbgp.Graph) int64 {
 	return int64(len(hash)) + entryOverhead + graphBytes(g)
 }
@@ -251,4 +304,9 @@ func graphEntryBytes(hash string, g *mdbgp.Graph) int64 {
 // 4 per directed adjacency entry.
 func graphBytes(g *mdbgp.Graph) int64 {
 	return 8*int64(g.N()+1) + 4*g.DirectedSize() + 64
+}
+
+// vecBytes is the retained size of one balance vector.
+func vecBytes(v []float64) int64 {
+	return 8 * int64(len(v))
 }

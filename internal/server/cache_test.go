@@ -2,8 +2,12 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"mdbgp"
 )
@@ -155,15 +159,194 @@ func TestCacheBytesClamp(t *testing.T) {
 	}
 
 	g := newGraphCache(1)
-	g.put("h1", mdbgp.FromEdges(2, []mdbgp.Edge{{U: 0, V: 1}}))
+	g.getOrPut("h1", mdbgp.FromEdges(2, []mdbgp.Edge{{U: 0, V: 1}}))
 	g.mu.Lock()
 	g.items["h1"].Value.(*graphEntry).bytes += 1 << 40
 	g.mu.Unlock()
-	g.put("h2", mdbgp.FromEdges(2, []mdbgp.Edge{{U: 0, V: 1}})) // evicts the mischarged entry
+	g.getOrPut("h2", mdbgp.FromEdges(2, []mdbgp.Edge{{U: 0, V: 1}})) // evicts the mischarged entry
 	if _, bytes := g.stats(); bytes != 0 {
 		t.Fatalf("graph bytes = %d, want clamp at 0", bytes)
 	}
 	if g.clampCount() != 1 {
 		t.Fatalf("graph clamps = %d, want 1", g.clampCount())
 	}
+}
+
+// weightBits flattens balance vectors to their float64 bit patterns.
+func weightBits(ws [][]float64) [][]uint64 {
+	out := make([][]uint64, len(ws))
+	for i, w := range ws {
+		out[i] = make([]uint64, len(w))
+		for j, x := range w {
+			out[i][j] = math.Float64bits(x)
+		}
+	}
+	return out
+}
+
+// TestGraphCacheWeights: retained vectors are bit for bit StandardWeights',
+// shared between solves of the retained instance and charged to its entry;
+// vertex and degree vectors are rebuilt per call, and nothing is stored for
+// another instance under the same hash or in a disabled cache.
+func TestGraphCacheWeights(t *testing.T) {
+	gen := func() *mdbgp.Graph {
+		g, _ := mdbgp.GenerateSocialGraph(mdbgp.SocialGraphConfig{N: 300, Communities: 3, AvgDegree: 6, Seed: 5})
+		return g
+	}
+	g, twin := gen(), gen() // same content, distinct instances
+	hash := g.HashString()
+	dims := []mdbgp.Weight{mdbgp.WeightVertices, mdbgp.WeightEdges, mdbgp.WeightNeighborDegrees, mdbgp.WeightPageRank}
+	ref, err := mdbgp.StandardWeights(g, dims...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newGraphCache(4)
+	c.getOrPut(hash, g)
+	ws, cached, err := c.weights(hash, g, dims)
+	if err != nil || cached {
+		t.Fatalf("first weights: cached=%v err=%v, want a computed miss", cached, err)
+	}
+	if !reflect.DeepEqual(weightBits(ws), weightBits(ref)) {
+		t.Fatal("weights differ from StandardWeights")
+	}
+	want := graphEntryBytes(hash, g) + 2*vecBytes(ref[0])
+	if _, b := c.stats(); b != want {
+		t.Fatalf("bytes = %d, want %d (graph plus two retained vectors)", b, want)
+	}
+	again, cached, _ := c.weights(hash, g, dims)
+	if !cached || &again[2][0] != &ws[2][0] || &again[3][0] != &ws[3][0] {
+		t.Fatal("repeat weights did not share the retained vectors")
+	}
+	if &again[0][0] == &ws[0][0] || &again[1][0] == &ws[1][0] {
+		t.Fatal("vertex/degree vectors were retained")
+	}
+	if !reflect.DeepEqual(weightBits(again), weightBits(ref)) {
+		t.Fatal("retained weights differ from StandardWeights")
+	}
+	if _, cached, _ := c.weights(hash, g, dims[:2]); cached {
+		t.Fatal("vertices,edges reported cached with nothing retained for them")
+	}
+	other, cached, _ := c.weights(hash, twin, dims)
+	if cached || &other[3][0] == &ws[3][0] {
+		t.Fatal("another instance under the same hash was served the retained vectors")
+	}
+	if _, b := c.stats(); b != want {
+		t.Fatalf("another instance's vectors were charged: bytes = %d, want %d", b, want)
+	}
+
+	d := newGraphCache(-1)
+	d.getOrPut(hash, g)
+	d.weights(hash, g, dims)
+	if _, cached, _ := d.weights(hash, g, dims); cached {
+		t.Fatal("disabled graph cache retained vectors")
+	}
+	if n, b := d.stats(); n != 0 || b != 0 {
+		t.Fatalf("disabled graph cache reports %d entries / %d bytes", n, b)
+	}
+}
+
+// recomputeGraphBytes walks the live entries and recomputes the ground-truth
+// byte total — CSR, key, bookkeeping and every retained vector — from
+// scratch.
+func recomputeGraphBytes(t *testing.T, c *graphCache) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var total int64
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*graphEntry)
+		total += graphEntryBytes(e.key, e.g)
+		for d, v := range e.vecs {
+			if !retainedDim(d) || len(v) != e.g.N() {
+				t.Fatalf("entry %s retains a %d-entry %v vector for an %d-vertex graph", e.key, len(v), d, e.g.N())
+			}
+			total += vecBytes(v)
+		}
+	}
+	return total
+}
+
+// TestGraphCacheBytesHammer churns the graph cache with random getOrPut, get
+// and weights calls — two instances per hash, so vectors computed for a
+// replaced instance must not land on its successor — and evictions,
+// asserting after every operation that the byte gauge equals a recomputed
+// ground truth and that every returned vector is StandardWeights' bits.
+// Then it checks that an evicted entry's vectors are released.
+func TestGraphCacheBytesHammer(t *testing.T) {
+	const graphs = 12
+	type slot struct {
+		inst [2]*mdbgp.Graph
+		ref  map[mdbgp.Weight][]uint64
+	}
+	all := []mdbgp.Weight{mdbgp.WeightVertices, mdbgp.WeightEdges, mdbgp.WeightNeighborDegrees, mdbgp.WeightPageRank}
+	slots := make([]slot, graphs)
+	for i := range slots {
+		cfg := mdbgp.SocialGraphConfig{N: 20 + 15*i, Communities: 2, AvgDegree: 4, Seed: int64(i + 1)}
+		for j := range slots[i].inst {
+			slots[i].inst[j], _ = mdbgp.GenerateSocialGraph(cfg)
+		}
+		ws, err := mdbgp.StandardWeights(slots[i].inst[0], all...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots[i].ref = make(map[mdbgp.Weight][]uint64)
+		for d, b := range weightBits(ws) {
+			slots[i].ref[all[d]] = b
+		}
+	}
+	dimSets := [][]mdbgp.Weight{
+		{mdbgp.WeightVertices, mdbgp.WeightEdges},
+		{mdbgp.WeightVertices, mdbgp.WeightEdges, mdbgp.WeightPageRank},
+		{mdbgp.WeightNeighborDegrees},
+		{mdbgp.WeightPageRank, mdbgp.WeightNeighborDegrees},
+	}
+	c := newGraphCache(5)
+	rng := rand.New(rand.NewSource(1))
+	for op := 0; op < 4000; op++ {
+		i := rng.Intn(graphs)
+		hash, g := fmt.Sprintf("h%d", i), slots[i].inst[rng.Intn(2)]
+		switch rng.Intn(3) {
+		case 0:
+			c.getOrPut(hash, g)
+		case 1:
+			c.get(hash)
+		default:
+			dims := dimSets[rng.Intn(len(dimSets))]
+			ws, _, err := c.weights(hash, g, dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d, b := range weightBits(ws) {
+				if !reflect.DeepEqual(b, slots[i].ref[dims[d]]) {
+					t.Fatalf("op %d: %v vector of %s differs from StandardWeights", op, dims[d], hash)
+				}
+			}
+		}
+		if _, got := c.stats(); got != recomputeGraphBytes(t, c) {
+			t.Fatalf("op %d: bytes gauge = %d, ground truth = %d", op, got, recomputeGraphBytes(t, c))
+		}
+	}
+	if c.clampCount() != 0 {
+		t.Fatalf("correct accounting still clamped %d times", c.clampCount())
+	}
+
+	// Eviction releases an entry's vectors together with its graph.
+	e := newGraphCache(1)
+	big, _ := mdbgp.GenerateSocialGraph(mdbgp.SocialGraphConfig{N: 4000, Communities: 4, AvgDegree: 6, Seed: 9})
+	e.getOrPut("big", big)
+	pr := func() weak.Pointer[float64] {
+		ws, _, err := e.weights("big", big, []mdbgp.Weight{mdbgp.WeightPageRank})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(&ws[0][0])
+	}()
+	e.getOrPut("h0", slots[0].inst[0]) // evicts "big"
+	if _, got := e.stats(); got != graphEntryBytes("h0", slots[0].inst[0]) {
+		t.Fatalf("after eviction bytes = %d, want only the surviving entry", got)
+	}
+	runtime.GC()
+	if pr.Value() != nil {
+		t.Fatal("an evicted entry's PageRank vector is still reachable")
+	}
+	runtime.KeepAlive(big)
 }

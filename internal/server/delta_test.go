@@ -366,15 +366,15 @@ func TestGraphCache(t *testing.T) {
 	g2, _ := mdbgp.GenerateSocialGraph(mdbgp.SocialGraphConfig{N: 60, Communities: 2, AvgDegree: 4, Seed: 2})
 	g3, _ := mdbgp.GenerateSocialGraph(mdbgp.SocialGraphConfig{N: 70, Communities: 2, AvgDegree: 4, Seed: 3})
 
-	if ev := c.put(g1.HashString(), g1); ev != 0 {
+	if _, ev := c.getOrPut(g1.HashString(), g1); ev != 0 {
 		t.Fatalf("evicted %d on first insert", ev)
 	}
-	c.put(g2.HashString(), g2)
+	c.getOrPut(g2.HashString(), g2)
 	// Touch g1 so g2 is the LRU victim.
 	if _, ok := c.get(g1.HashString()); !ok {
 		t.Fatal("g1 missing")
 	}
-	if ev := c.put(g3.HashString(), g3); ev != 1 {
+	if _, ev := c.getOrPut(g3.HashString(), g3); ev != 1 {
 		t.Fatalf("expected one eviction, got %d", ev)
 	}
 	if _, ok := c.get(g2.HashString()); ok {
@@ -389,13 +389,13 @@ func TestGraphCache(t *testing.T) {
 	}
 	// Re-putting a present hash only refreshes recency.
 	before := bytes
-	c.put(g1.HashString(), g1)
+	c.getOrPut(g1.HashString(), g1)
 	if _, after := c.stats(); after != before {
 		t.Fatalf("refresh changed byte accounting: %d -> %d", before, after)
 	}
 	// Disabled cache accepts nothing.
 	d := newGraphCache(-1)
-	d.put(g1.HashString(), g1)
+	d.getOrPut(g1.HashString(), g1)
 	if n, _ := d.stats(); n != 0 {
 		t.Fatal("disabled graph cache retained an entry")
 	}

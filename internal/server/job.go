@@ -208,23 +208,29 @@ func (s *Server) runJob(j *job) {
 	// excluded from option fingerprints, so attaching it here cannot fork the
 	// cache key the job was dispatched under.
 	opts.Observer = solveSpan
+	var err error
 	if g != nil && j.spill == nil {
-		// Prep amortization: reuse (or build and retain) the solve's
-		// assignment-independent preprocessing. Like the observer, the
-		// injected artifacts are excluded from fingerprints — a cached-prep
-		// solve is byte-identical to a rebuilt-prep one.
-		opts = s.attachPrep(g, j.graphHash, j.dimNames, dims, opts, solveSpan)
+		// The balance vectors are resolved once, here, and reach both the
+		// hierarchy build and the solve through Options.Weights.
+		if opts.Weights, err = s.jobWeights(g, j.graphHash, dims, solveSpan); err == nil {
+			// Prep amortization: reuse (or build and retain) the solve's
+			// assignment-independent preprocessing. Like the observer, the
+			// injected artifacts are excluded from fingerprints — a
+			// cached-prep solve is byte-identical to a rebuilt-prep one.
+			opts = s.attachPrep(g, j.graphHash, j.dimNames, opts, solveSpan)
+		}
 	}
 	start := time.Now()
 	var res *mdbgp.Result
-	var err error
-	if j.spill != nil {
+	switch {
+	case err != nil:
+	case j.spill != nil:
 		// Out-of-core: no materialized graph to hand the engine; stream the
 		// spill instead. dims are the defaults by construction (ingestBinary
 		// rejects explicit dims on this path).
 		res, err = s.streamSolve(j.spill, j.n, j.m, opts)
-	} else {
-		res, err = solve(g, dims, opts)
+	default:
+		res, err = solve(g, opts)
 	}
 	elapsed := time.Since(start)
 	solveSpan.End()
@@ -255,13 +261,20 @@ func (s *Server) logJob(j *job, queueWait, elapsed time.Duration, err error) {
 	s.log.Info("job done", attrs...)
 }
 
-// defaultSolve materializes the balance dimensions and runs the engine.
-func (s *Server) defaultSolve(g *mdbgp.Graph, dims []mdbgp.Weight, opts mdbgp.Options) (*mdbgp.Result, error) {
-	ws, err := mdbgp.StandardWeights(g, dims...)
-	if err != nil {
-		return nil, err
-	}
-	opts.Weights = ws
+// jobWeights resolves a job's balance vectors under a "weights" span whose
+// cached attribute says whether the graph cache already held the retained
+// ones (see graphCache.weights).
+func (s *Server) jobWeights(g *mdbgp.Graph, hash string, dims []mdbgp.Weight, parent *obs.Span) ([][]float64, error) {
+	sp := parent.Start("weights")
+	ws, cached, err := s.graphs.weights(hash, g, dims)
+	sp.SetAttr("cached", cached)
+	sp.End()
+	return ws, err
+}
+
+// defaultSolve runs the engine on the job's resolved options; opts.Weights
+// already holds the balance vectors.
+func (s *Server) defaultSolve(g *mdbgp.Graph, opts mdbgp.Options) (*mdbgp.Result, error) {
 	opts.Parallelism = s.cfg.Parallelism
 	return mdbgp.Partition(g, opts)
 }

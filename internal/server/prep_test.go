@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -309,5 +310,65 @@ func TestPrepSurvivesResubmission(t *testing.T) {
 	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=gd&reorder=bfs&iters=50", body)
 	if h := metric(t, tsNoGraph, "mdbgpd_prep_cache_hits_total"); h != 0 {
 		t.Fatalf("without graph canonicalization the stale artifact must not hit (got %g hits)", h)
+	}
+}
+
+// TestConcurrentFirstSolvesShareWeights: distinct jobs on one new graph
+// whose dims include the retained (edge-traversing) ones start together and
+// race to compute and store its vectors. Each must return the assignment a
+// daemon without a graph cache — hence without retained vectors — returns;
+// a repeat solve must read the vectors from the entry, and the graph-cache
+// gauge must charge them. Meant to run under -race -count=10.
+func TestConcurrentFirstSolvesShareWeights(t *testing.T) {
+	g, body := testGraph(t, 29)
+	_, ts := startServer(t, Config{Workers: 4, Parallelism: 1})
+	_, ref := startServer(t, Config{Workers: 1, GraphCacheEntries: -1})
+	queries := []string{
+		"k=2&seed=1&iters=30&dims=vertices,edges,pagerank",
+		"k=4&seed=2&iters=30&dims=vertices,pagerank,neighbor-degrees",
+		"k=4&seed=3&iters=30&engine=multilevel&dims=vertices,edges,pagerank",
+		"k=2&seed=4&engine=metis&dims=neighbor-degrees,pagerank",
+	}
+	ids := make([]string, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/partition?"+q+"&wait=true", "text/plain", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var m map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+				t.Errorf("%s: decoding submit response: %v", q, err)
+				return
+			}
+			ids[i], _ = m["job_id"].(string)
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, q := range queries {
+		if v := pollDone(t, ts, ids[i]); v["status"] != "done" {
+			t.Fatalf("%s: %v", q, v)
+		}
+		if got, want := assignment(t, ts, ids[i]), solveAndFetch(t, ref, q, body); !bytes.Equal(got, want) {
+			t.Fatalf("%s: assignment differs from a daemon without retained vectors", q)
+		}
+	}
+	want := graphEntryBytes(g.HashString(), g) + 2*8*int64(g.N())
+	if b := metric(t, ts, "mdbgpd_graph_cache_bytes"); b != float64(want) {
+		t.Fatalf("graph cache bytes = %g, want %d (CSR plus PageRank and neighbor-degree vectors)", b, want)
+	}
+	_, m := submit(t, ts, "k=8&seed=5&iters=30&dims=vertices,edges,pagerank&wait=true", body)
+	id := m["job_id"].(string)
+	pollDone(t, ts, id)
+	if st := fetchTrace(t, ts, id).Structure(); !strings.Contains(st, "weights{cached=true}") {
+		t.Fatalf("repeat solve did not read the retained vectors: %s", st)
 	}
 }

@@ -71,9 +71,10 @@ func hierarchyPrepKey(graphHash string, c mdbgp.Options, dimNames string) string
 
 // attachPrep injects cached prep artifacts into a solve's options, building
 // and retaining them on a miss. opts must already be canonical (it is j.opts,
-// canonicalized at dispatch). Everything here is best-effort amortization:
-// any error or mismatch leaves opts unchanged and the solve rebuilds inline.
-func (s *Server) attachPrep(g *mdbgp.Graph, hash, dimNames string, dims []mdbgp.Weight, opts mdbgp.Options, parent *obs.Span) mdbgp.Options {
+// canonicalized at dispatch) and carry the job's resolved Weights.
+// Everything here is best-effort amortization: any error or mismatch leaves
+// opts unchanged and the solve rebuilds inline.
+func (s *Server) attachPrep(g *mdbgp.Graph, hash, dimNames string, opts mdbgp.Options, parent *obs.Span) mdbgp.Options {
 	if !s.preps.Enabled() || hash == "" {
 		return opts
 	}
@@ -116,20 +117,12 @@ func (s *Server) attachPrep(g *mdbgp.Graph, hash, dimNames string, dims []mdbgp.
 			opts.PrepHierarchy = art.(*preppedHierarchy).ph
 			hits++
 			sp.SetAttr("hierarchy", "hit")
-		} else {
-			// The hierarchy embeds the solve's vertex weights, so it must be
-			// built under exactly the weights the solve will run with —
-			// defaultSolve resolves them from the same dims with the same
-			// StandardWeights call.
-			popts := opts
-			if ws, err := mdbgp.StandardWeights(g, dims...); err == nil {
-				popts.Weights = ws
-				if ph, err := mdbgp.PrepareHierarchy(g, popts); err == nil {
-					opts.PrepHierarchy = ph
-					s.preps.Put(key, &preppedHierarchy{g: g, ph: ph})
-					sp.SetAttr("hierarchy", "build")
-				}
-			}
+		} else if ph, err := mdbgp.PrepareHierarchy(g, opts); err == nil {
+			// The hierarchy embeds the solve's vertex weights; opts.Weights
+			// holds exactly the vectors the solve will run with.
+			opts.PrepHierarchy = ph
+			s.preps.Put(key, &preppedHierarchy{g: g, ph: ph})
+			sp.SetAttr("hierarchy", "build")
 		}
 	}
 

@@ -49,6 +49,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -257,7 +258,7 @@ type Server struct {
 
 	// solve replaces defaultSolve when non-nil — a test seam for
 	// deterministic backpressure/coalescing tests. Set before startWorkers.
-	solve func(g *mdbgp.Graph, dims []mdbgp.Weight, opts mdbgp.Options) (*mdbgp.Result, error)
+	solve func(g *mdbgp.Graph, opts mdbgp.Options) (*mdbgp.Result, error)
 }
 
 // New starts a server with cfg's worker pool running.
@@ -509,6 +510,9 @@ func parseSubmit(r *http.Request) (submitRequest, error) {
 	// 400 instead of a failed job.
 	if err := mdbgp.ValidateProjection(req.opts.Projection); err != nil {
 		return req, err
+	}
+	if req.opts.Projection == "nested" {
+		return req, fmt.Errorf("projection=nested is not served: its cost grows steeply with the number of balance dimensions (a 6000-vertex k=8 solve takes seconds at two dims and minutes at three), so one request could hold a solver worker for minutes; it stays available in the library and CLI as a reference method")
 	}
 	return req, nil
 }
@@ -1083,11 +1087,25 @@ func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	// A write error means the client went away; there is no one left to tell.
+	_ = writeAssignment(w, v.Res.Assignment.Parts)
+}
+
+// writeAssignment writes one "vertex part" line per vertex, formatting each
+// line straight into the buffered writer's free space.
+func writeAssignment(w io.Writer, parts []int32) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	for vertex, part := range v.Res.Assignment.Parts {
-		fmt.Fprintf(bw, "%d %d\n", vertex, part)
+	for vertex, part := range parts {
+		b := bw.AvailableBuffer()
+		b = strconv.AppendInt(b, int64(vertex), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(part), 10)
+		b = append(b, '\n')
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
 	}
-	bw.Flush()
+	return bw.Flush()
 }
 
 // handleHealthz is the LIVENESS probe: it only fails once the server has

@@ -302,7 +302,7 @@ func blockingServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan s
 	entered := make(chan string, 16)
 	release := make(chan struct{})
 	s := newServer(cfg)
-	s.solve = func(g *mdbgp.Graph, dims []mdbgp.Weight, opts mdbgp.Options) (*mdbgp.Result, error) {
+	s.solve = func(g *mdbgp.Graph, opts mdbgp.Options) (*mdbgp.Result, error) {
 		entered <- fmt.Sprintf("n=%d", g.N())
 		<-release
 		return &mdbgp.Result{
@@ -466,6 +466,7 @@ func TestErrorPaths(t *testing.T) {
 		{"zero eps", "eps=0", body, http.StatusBadRequest}, // would silently become the 5% default
 		{"bad seed", "seed=abc", body, http.StatusBadRequest},
 		{"bad projection", "projection=nope", body, http.StatusBadRequest},
+		{"nested projection", "projection=nested", body, http.StatusBadRequest}, // seconds to minutes per solve at 2–3 dims
 		{"bad dims", "dims=vertices,bogus", body, http.StatusBadRequest},
 		{"malformed body", "", []byte("0 1\nnot an edge\n"), http.StatusBadRequest},
 		{"empty body", "", nil, http.StatusBadRequest},
@@ -477,6 +478,11 @@ func TestErrorPaths(t *testing.T) {
 		if got := post(tc.query, tc.body); got != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
 		}
+	}
+
+	// The nested refusal says why, not just that.
+	if _, m := submit(t, ts, "projection=nested", body); !strings.Contains(fmt.Sprint(m["error"]), "balance dimensions") {
+		t.Fatalf("nested refusal does not explain itself: %v", m["error"])
 	}
 
 	// No submissions above were accepted.
@@ -664,4 +670,26 @@ func TestWaitFallsBackToAsync(t *testing.T) {
 		t.Fatal("wait=true did not fall back to async within MaxWait")
 	}
 	close(release)
+}
+
+// TestWriteAssignmentMatchesFprintf pins the assignment endpoint's bytes to
+// the fmt.Fprintf("%d %d\n") formatting it replaced, across multi-digit
+// vertex and part ids and more lines than one writer buffer holds.
+func TestWriteAssignmentMatchesFprintf(t *testing.T) {
+	parts := make([]int32, 30000)
+	for v := range parts {
+		parts[v] = int32(v * 7919 % (1 << 20)) // up to the largest k the daemon accepts
+	}
+	parts[1], parts[2] = 0, 9
+	var want bytes.Buffer
+	for v, p := range parts {
+		fmt.Fprintf(&want, "%d %d\n", v, p)
+	}
+	var got bytes.Buffer
+	if err := writeAssignment(&got, parts); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("writeAssignment output differs from the fmt.Fprintf formatting")
+	}
 }

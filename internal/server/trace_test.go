@@ -48,7 +48,7 @@ func TestTraceStructureDeterministicAcrossParallelism(t *testing.T) {
 		return fetchTrace(t, ts, id).Structure()
 	}
 	ref := structure(1)
-	for _, part := range []string{"request", "ingest", "cache-lookup", "queue-wait", "solve", "bisect", "gd{", "round{"} {
+	for _, part := range []string{"request", "ingest", "cache-lookup", "queue-wait", "solve", "weights{cached=false}", "bisect", "gd{", "round{"} {
 		if !strings.Contains(ref, part) {
 			t.Fatalf("trace structure missing %q:\n%s", part, ref)
 		}
