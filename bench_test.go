@@ -21,7 +21,6 @@ import (
 	"mdbgp/internal/multilevel"
 	"mdbgp/internal/partition"
 	"mdbgp/internal/project"
-	"mdbgp/internal/reorder"
 	"mdbgp/internal/vecmath"
 	"mdbgp/internal/weights"
 )
@@ -386,16 +385,15 @@ func BenchmarkMultilevelVsDirect(b *testing.B) {
 //
 // BenchmarkKernels measures achieved memory bandwidth (GB/s) for the hot
 // kernels of the GD iteration — the SpMV gradient step in its plain, masked,
-// weighted, register-blocked, free-row-list and reordered-layout forms, plus the one-shot
-// projection — on the 573k-edge multilevel benchmark graph. cmd/benchjson
+// weighted and free-row-list forms, plus the one-shot projection — on the
+// 573k-edge multilevel benchmark graph. cmd/benchjson
 // turns the output into BENCH_kernels.json and CI gates the floors with
 // cmd/benchgate (see .github/workflows/ci.yml, kernels-bench job).
 
 // benchKernelGraph is benchMLGraph under a random vertex relabeling: same
 // topology (m = 573104 undirected), but arbitrary ingest ids, modeling real
-// edge lists whose numbering carries no locality. This is the regime vertex
-// reordering exists for; on the unshuffled SBM ids the ordering is already
-// near-optimal and every kernel runs at the roofline.
+// edge lists whose numbering carries no locality; on the unshuffled SBM ids
+// the gathers are nearly sequential and every kernel runs at the roofline.
 func benchKernelGraph() *Graph {
 	g, _ := gen.SBM(gen.SBMConfig{
 		N: 100000, Communities: 4000, AvgDegree: 14, InFraction: 0.8, Seed: 17,
@@ -433,15 +431,6 @@ func BenchmarkKernels(b *testing.B) {
 	// arc, plus the offsets array and a read+write pass over the vectors.
 	spmvBytes := float64(12*nnz + 16*n + 8*(n+1))
 
-	layDeg := reorder.NewLayout(offsets, adj, nil, reorder.Degree)
-	layRCM := reorder.NewLayout(offsets, adj, nil, reorder.RCM)
-
-	// Float32 variants gather 4B x values instead of 8B — the Kernel32 option's
-	// bandwidth claim. The iterate converts once per call (the conversion is
-	// part of the measured work, as it is per iteration in production).
-	x32 := make([]float32, n)
-	spmv32Bytes := float64(8*nnz + 12*n + 8*(n+1))
-
 	gbps := func(bytes float64, fn func()) float64 {
 		fn() // warm caches and pool
 		const reps = 12
@@ -462,8 +451,7 @@ func BenchmarkKernels(b *testing.B) {
 		}
 	}
 
-	var plain, masked, weighted, blocked, freeRows, layoutDeg, layoutRCM, proj float64
-	var spmv32, blocked32 float64
+	var plain, masked, weighted, freeRows, proj float64
 	projBytes := float64(8 * n * 4) // y, dst, and two constraint weight rows
 	py := make([]float64, n)
 	copy(py, x)
@@ -486,18 +474,7 @@ func BenchmarkKernels(b *testing.B) {
 		plain = gbps(spmvBytes, func() { vecmath.SpMVWeightedMaskedPool(offsets, adj, nil, x, dst, nil, pool) })
 		masked = gbps(spmvBytes, func() { vecmath.SpMVWeightedMaskedPool(offsets, adj, nil, x, dst, fixed, pool) })
 		weighted = gbps(spmvBytes, func() { vecmath.SpMVWeightedMaskedPool(offsets, adj, ew, x, dst, nil, pool) })
-		blocked = gbps(spmvBytes, func() { vecmath.SpMVBlockedPool(offsets, adj, nil, x, dst, nil, pool) })
 		freeRows = gbps(spmvBytes, func() { vecmath.SpMVRowsPool(offsets, adj, nil, x, dst, free, false, pool) })
-		layoutDeg = gbps(spmvBytes, func() { layDeg.SpMVMasked(x, dst, nil, pool) })
-		layoutRCM = gbps(spmvBytes, func() { layRCM.SpMVMasked(x, dst, nil, pool) })
-		spmv32 = gbps(spmv32Bytes, func() {
-			vecmath.Convert32Pool(x32, x, pool)
-			vecmath.SpMV32WeightedMaskedPool(offsets, adj, nil, x32, dst, nil, pool)
-		})
-		blocked32 = gbps(spmv32Bytes, func() {
-			vecmath.Convert32Pool(x32, x, pool)
-			vecmath.SpMVBlocked32Pool(offsets, adj, nil, x32, dst, nil, pool)
-		})
 		proj = gbps(projBytes, func() {
 			if err := project.Project(pdst, py, cons, popt, st); err != nil {
 				b.Fatal(err)
@@ -508,46 +485,31 @@ func BenchmarkKernels(b *testing.B) {
 	b.ReportMetric(plain, "spmv_gbps")
 	b.ReportMetric(masked, "spmv_masked_gbps")
 	b.ReportMetric(weighted, "spmv_weighted_gbps")
-	b.ReportMetric(blocked, "spmv_blocked_gbps")
 	b.ReportMetric(freeRows, "spmv_free_gbps")
-	b.ReportMetric(layoutDeg, "spmv_layout_degree_gbps")
-	b.ReportMetric(layoutRCM, "spmv_layout_rcm_gbps")
-	b.ReportMetric(spmv32, "spmv32_gbps")
-	b.ReportMetric(blocked32, "spmv32_blocked_gbps")
 	b.ReportMetric(proj, "projection_gbps")
-	// The headline claim: the register-blocked kernel over the degree-sorted
-	// layout — the exact production path selected by Options.Reorder — against
-	// the plain kernel on the ingest-order CSR, both bit-identical results.
-	b.ReportMetric(layoutDeg/plain, "blocked_speedup")
-	b.ReportMetric(float64(reorder.Bandwidth(offsets, adj)), "bandwidth_ingest")
-	b.ReportMetric(float64(layRCM.Bandwidth()), "bandwidth_rcm")
 }
 
 // BenchmarkPrepAmortization measures what the server's prep-artifact cache
 // buys on repeat solves of the same graph: a cold multilevel solve (hierarchy
-// coarsening + reorder layout built inside the engine) against a warm one
-// with both artifacts injected via Options.PrepLayout/PrepHierarchy — the
-// exact path internal/prep serves on a cache hit. The warm and cold solves
+// coarsening inside the engine) against a warm one with the hierarchy
+// injected via Options.PrepHierarchy — the exact path internal/prep serves
+// on a cache hit. The warm and cold solves
 // must be byte-identical (injection amortizes work, never changes bits);
 // the speedup floor is gated in CI (kernels-bench job).
 func BenchmarkPrepAmortization(b *testing.B) {
 	g, _ := benchMLGraph()
-	opts := Options{K: 2, Seed: 42, Engine: "multilevel", Reorder: "degree"}.Canonical()
+	opts := Options{K: 2, Seed: 42, Engine: "multilevel"}.Canonical()
 
-	buildPrep := func() (*PreparedLayout, *PreparedHierarchy) {
-		pl, err := PrepareLayout(g, opts.Reorder)
-		if err != nil {
-			b.Fatal(err)
-		}
+	buildPrep := func() *PreparedHierarchy {
 		ph, err := PrepareHierarchy(g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return pl, ph
+		return ph
 	}
-	warmed := func(pl *PreparedLayout, ph *PreparedHierarchy) Options {
+	warmed := func(ph *PreparedHierarchy) Options {
 		o := opts
-		o.PrepLayout, o.PrepHierarchy = pl, ph
+		o.PrepHierarchy = ph
 		return o
 	}
 
@@ -557,8 +519,7 @@ func BenchmarkPrepAmortization(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, ph := buildPrep()
-	warm0, err := Partition(g, warmed(pl, ph))
+	warm0, err := Partition(g, warmed(buildPrep()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -581,11 +542,11 @@ func BenchmarkPrepAmortization(b *testing.B) {
 		coldSecs += time.Since(start).Seconds()
 
 		start = time.Now()
-		pl, ph := buildPrep()
+		ph := buildPrep()
 		prepSecs += time.Since(start).Seconds()
 
 		start = time.Now()
-		if _, err := Partition(g, warmed(pl, ph)); err != nil {
+		if _, err := Partition(g, warmed(ph)); err != nil {
 			b.Fatal(err)
 		}
 		warmSecs += time.Since(start).Seconds()
@@ -595,60 +556,6 @@ func BenchmarkPrepAmortization(b *testing.B) {
 	b.ReportMetric(warmSecs/float64(b.N)*1e3, "warm_ms")
 	b.ReportMetric(prepSecs/float64(b.N)*1e3, "prep_ms")
 	b.ReportMetric(coldSecs/warmSecs, "speedup")
-}
-
-// BenchmarkIncrementalGD compares full-gradient GD with the incremental
-// (moved-coordinate delta) gradient path on the same bisection, in two
-// regimes. With vertex fixing on (the default), the masked SpMV already
-// skips fixed rows, so the delta gate rarely fires and the contract is
-// simply "no overhead, no quality change". With vertex fixing off (the
-// paper's Fig. 9 ablation configs), every row stays in the SpMV while the
-// moved set collapses as coordinates saturate — the regime the delta
-// scatter is built for. The quality guards locality_delta and
-// locality_delta_nofix must stay ~0: the incremental path is an exact
-// resync-corrected evaluation of the same iteration, not an approximation.
-func BenchmarkIncrementalGD(b *testing.B) {
-	g, _ := benchMLGraph()
-	solve := func(o Options) (*Result, float64) {
-		start := time.Now()
-		res, err := Partition(g, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res, time.Since(start).Seconds()
-	}
-	opts := Options{K: 2, Seed: 42}
-	nofix := opts
-	nofix.DisableVertexFixing = true
-	var fullSecs, incSecs, fullNofixSecs, incNofixSecs float64
-	var full, inc, fullNofix, incNofix *Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var s float64
-		full, s = solve(opts)
-		fullSecs += s
-		o := opts
-		o.IncrementalGradient = true
-		inc, s = solve(o)
-		incSecs += s
-
-		fullNofix, s = solve(nofix)
-		fullNofixSecs += s
-		o = nofix
-		o.IncrementalGradient = true
-		incNofix, s = solve(o)
-		incNofixSecs += s
-	}
-	b.ReportMetric(full.EdgeLocality, "locality_full")
-	b.ReportMetric(inc.EdgeLocality, "locality_incremental")
-	b.ReportMetric(inc.EdgeLocality-full.EdgeLocality, "locality_delta")
-	b.ReportMetric(fullSecs/float64(b.N)*1e3, "full_ms")
-	b.ReportMetric(incSecs/float64(b.N)*1e3, "incremental_ms")
-	b.ReportMetric(fullSecs/incSecs, "speedup")
-	b.ReportMetric(incNofix.EdgeLocality-fullNofix.EdgeLocality, "locality_delta_nofix")
-	b.ReportMetric(fullNofixSecs/float64(b.N)*1e3, "full_nofix_ms")
-	b.ReportMetric(incNofixSecs/float64(b.N)*1e3, "incremental_nofix_ms")
-	b.ReportMetric(fullNofixSecs/incNofixSecs, "speedup_nofix")
 }
 
 // BenchmarkMultilevelCoarsen isolates hierarchy construction (cluster

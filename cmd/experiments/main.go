@@ -88,9 +88,7 @@ func main() {
 		scale   = flag.String("scale", "full", "dataset scale: full (paper-analog sizes) or quick (8x smaller)")
 		seed    = flag.Int64("seed", 42, "random seed")
 		par     = flag.Int("p", 0, "GD worker parallelism: 0 = all cores, 1 = serial (results are seed-deterministic either way)")
-		ml      = flag.Bool("multilevel", false, "deprecated alias for -engine multilevel")
 		engine  = flag.String("engine", "", "solver engine for the GD role: "+strings.Join(mdbgp.EngineNames(), ", ")+" (default gd)")
-		reord   = flag.String("reorder", "", "vertex reordering for the gradient kernels: "+strings.Join(mdbgp.ReorderNames(), ", ")+" (results are byte-identical either way)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		quiet   = flag.Bool("quiet", false, "suppress progress logging")
 	)
@@ -116,26 +114,17 @@ func main() {
 	if !*quiet {
 		logSink = os.Stderr
 	}
-	if *ml && *engine != "" && *engine != "multilevel" {
-		fmt.Fprintf(os.Stderr, "experiments: conflicting -engine %s and -multilevel (the latter is an alias for -engine multilevel)\n", *engine)
-		os.Exit(1)
-	}
 	if _, err := mdbgp.LookupEngine(*engine); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
-	if err := mdbgp.ValidateReorder(*reord); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
 	ctx := experiments.NewContext(scaleDiv, *seed, logSink)
 	ctx.Parallelism = *par
-	ctx.Multilevel = *ml || *engine == "multilevel"
 	ctx.Engine = *engine
 	ctx.EngineSolve = func(g *mdbgp.Graph, ws [][]float64, k int) (*mdbgp.Assignment, error) {
 		res, err := mdbgp.Partition(g, mdbgp.Options{
 			Engine: *engine, K: k, Weights: ws,
-			Seed: *seed, Parallelism: *par, Reorder: *reord,
+			Seed: *seed, Parallelism: *par,
 		})
 		if err != nil {
 			return nil, err

@@ -45,8 +45,7 @@ type genParams struct {
 func parseFlags(args []string) (string, genParams, error) {
 	fs := flag.NewFlagSet("gengraph", flag.ContinueOnError)
 	var (
-		model       = fs.String("model", "", "graph model: social, rmat, ba (powerlaw), chunglu, er, grid")
-		typ         = fs.String("type", "", "deprecated alias for -model")
+		model       = fs.String("model", "social", "graph model: social, rmat, ba (powerlaw), chunglu, er, grid")
 		n           = fs.Int("n", 100000, "vertices (social, ba, chunglu, er)")
 		avgDeg      = fs.Float64("avgdeg", 30, "average degree (social, chunglu, er)")
 		communities = fs.Int("communities", 50, "planted communities (social)")
@@ -68,17 +67,10 @@ func parseFlags(args []string) (string, genParams, error) {
 	if fs.NArg() > 0 {
 		return "", genParams{}, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	m := *model
-	if m == "" {
-		m = *typ
-	}
-	if m == "" {
-		m = "social"
-	}
 	if *format != "text" && *format != "binary" {
 		return "", genParams{}, fmt.Errorf("bad -format %q (want text or binary)", *format)
 	}
-	return m, genParams{
+	return *model, genParams{
 		n: *n, avgDeg: *avgDeg, communities: *communities, inFrac: *inFrac,
 		microSize: *microSize, microFrac: *microFrac, exponent: *exponent,
 		scale: *scale, edgeFactor: *edgeFactor, rows: *rows, cols: *cols,

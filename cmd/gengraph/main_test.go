@@ -16,10 +16,8 @@ func TestParseFlagsModelSelection(t *testing.T) {
 		args []string
 		want string
 	}{
-		{nil, "social"},                                 // default
-		{[]string{"-model", "rmat"}, "rmat"},            //
-		{[]string{"-type", "grid"}, "grid"},             // deprecated alias
-		{[]string{"-model", "ba", "-type", "er"}, "ba"}, // -model wins
+		{nil, "social"}, // default
+		{[]string{"-model", "rmat"}, "rmat"},
 	}
 	for _, tc := range cases {
 		m, _, err := parseFlags(tc.args)

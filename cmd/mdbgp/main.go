@@ -45,15 +45,11 @@ type config struct {
 	seed       int64
 	par        int
 	engine     string
-	multilevel bool
 	coarsenTo  int
 	refineIter int
 	deltaPath  string // edge delta applied to the input graph before solving
 	basePath   string // prior assignment to warm-start from
 	warmIters  int
-	reorder    string
-	incGrad    bool
-	resync     int
 	tracePath  string // span-tree JSON destination ("" = tracing off, "-" = stderr)
 }
 
@@ -69,15 +65,11 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 42, "random seed")
 	flag.IntVar(&cfg.par, "p", 0, "worker parallelism: 0 = all cores, 1 = serial (results are seed-deterministic either way)")
 	flag.StringVar(&cfg.engine, "engine", "", "solver engine: "+strings.Join(mdbgp.EngineNames(), ", ")+" (default gd)")
-	flag.BoolVar(&cfg.multilevel, "multilevel", false, "deprecated alias for -engine multilevel (the V-cycle GD path)")
 	flag.IntVar(&cfg.coarsenTo, "coarsento", 0, "multilevel: stop coarsening at this many vertices (0 = default)")
 	flag.IntVar(&cfg.refineIter, "refineiters", 0, "multilevel: finest-level refinement iterations (0 = default)")
 	flag.StringVar(&cfg.deltaPath, "delta", "", "edge delta file ('+u v'/'-u v' lines) applied to the input graph before solving")
 	flag.StringVar(&cfg.basePath, "base", "", "prior assignment file ('vertex part' lines) to warm-start from")
 	flag.IntVar(&cfg.warmIters, "warmiters", 0, "warm-started gradient iterations per bisection (0 = a quarter of -iters)")
-	flag.StringVar(&cfg.reorder, "reorder", "", "vertex reordering for the gradient kernels: "+strings.Join(mdbgp.ReorderNames(), ", ")+" (results are byte-identical either way)")
-	flag.BoolVar(&cfg.incGrad, "incgrad", false, "incremental gradient updates: scatter only moved-coordinate deltas between exact resyncs")
-	flag.IntVar(&cfg.resync, "resync", 0, "incremental-gradient exact-recompute period (0 = default 16; only with -incgrad)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write the solve's span tree (JSON) to this file, or - for stderr; also prints convergence telemetry")
 	flag.Parse()
 	if err := run(cfg); err != nil {
@@ -137,13 +129,7 @@ func open(path string) (io.Reader, func() error, error) {
 }
 
 func run(cfg config) error {
-	if cfg.multilevel && cfg.engine != "" && cfg.engine != "multilevel" {
-		return fmt.Errorf("conflicting -engine %s and -multilevel (the latter is an alias for -engine multilevel)", cfg.engine)
-	}
 	if _, err := mdbgp.LookupEngine(cfg.engine); err != nil {
-		return err
-	}
-	if err := mdbgp.ValidateReorder(cfg.reorder); err != nil {
 		return err
 	}
 	reader, closeIn, err := open(cfg.in)
@@ -248,9 +234,8 @@ func run(cfg config) error {
 		Engine: cfg.engine,
 		K:      cfg.k, Epsilon: cfg.eps, Weights: ws, Iterations: cfg.iters,
 		Projection: cfg.projection, Seed: cfg.seed, Parallelism: cfg.par,
-		Multilevel: cfg.multilevel, CoarsenTo: cfg.coarsenTo, RefineIterations: cfg.refineIter,
+		CoarsenTo: cfg.coarsenTo, RefineIterations: cfg.refineIter,
 		WarmAssignment: warm, WarmIterations: cfg.warmIters,
-		Reorder: cfg.reorder, IncrementalGradient: cfg.incGrad, ResyncEvery: cfg.resync,
 	}
 	var trace *mdbgp.Span
 	if cfg.tracePath != "" {

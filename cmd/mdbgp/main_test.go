@@ -171,7 +171,7 @@ func TestRunMultilevel(t *testing.T) {
 	out := filepath.Join(dir, "parts.txt")
 	// Small graphs fall back to direct GD inside the V-cycle; force a real
 	// hierarchy with a low coarsening threshold.
-	if err := run(config{in: in, out: out, k: 2, eps: 0.05, dims: "vertices,edges", iters: 60, seed: 42, par: 1, multilevel: true, coarsenTo: 150, refineIter: 8}); err != nil {
+	if err := run(config{in: in, out: out, k: 2, eps: 0.05, dims: "vertices,edges", iters: 60, seed: 42, par: 1, engine: "multilevel", coarsenTo: 150, refineIter: 8}); err != nil {
 		t.Fatal(err)
 	}
 	readParts(t, out, g.N(), 2)
@@ -208,12 +208,6 @@ func TestRunEngineErrors(t *testing.T) {
 	c.engine = "bogus-engine"
 	if err := run(c); err == nil || !strings.Contains(err.Error(), "unknown engine") {
 		t.Fatalf("unknown engine error = %v", err)
-	}
-	c = base
-	c.engine = "fennel"
-	c.multilevel = true
-	if err := run(c); err == nil || !strings.Contains(err.Error(), "conflicting") {
-		t.Fatalf("conflicting -engine/-multilevel error = %v", err)
 	}
 	// A cold-only engine cannot warm-start from -base.
 	parts1 := filepath.Join(dir, "parts1.txt")

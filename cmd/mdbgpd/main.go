@@ -48,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"mdbgp"
 	"mdbgp/internal/server"
 	"mdbgp/internal/wire"
 )
@@ -98,8 +97,7 @@ func parseFlags(args []string) (daemonOptions, error) {
 		graphCache  = fs.Int("graph-cache", 64, "base graphs kept for delta (?base=) submissions (negative disables)")
 		maxChurn    = fs.Float64("max-churn", 0.25, "edge-churn fraction above which delta solves go cold instead of warm-starting (0 never warm-starts)")
 		maxChain    = fs.Int("max-chain-depth", 8, "warm delta-of-delta hops allowed before forcing a cold re-solve (<=0 lifts the limit)")
-		reorderDef  = fs.String("reorder", "", "default vertex reordering for the gradient kernels ("+strings.Join(mdbgp.ReorderNames(), ", ")+"); per-request ?reorder= overrides")
-		prepCache   = fs.Int64("prep-cache", 256, "prep-artifact cache budget in MiB: reorder layouts and coarsening hierarchies are retained per graph and reused by repeat solves (results are byte-identical either way; <=0 disables)")
+		prepCache   = fs.Int64("prep-cache", 256, "prep-artifact cache budget in MiB: the coarsening hierarchies of multilevel and metis solves are retained per graph and reused by repeat solves (results are byte-identical either way; <=0 disables)")
 		pprofAddr   = fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		logFormat   = fs.String("log-format", "text", "structured log encoding: text or json")
 		slow        = fs.Duration("slow", 0, "solve duration above which a job is logged at Warn (0 = 2s default, negative disables)")
@@ -118,9 +116,6 @@ func parseFlags(args []string) (daemonOptions, error) {
 	}
 	if fs.NArg() > 0 {
 		return daemonOptions{}, fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	if err := mdbgp.ValidateReorder(*reorderDef); err != nil {
-		return daemonOptions{}, err
 	}
 	if *logFormat != "text" && *logFormat != "json" {
 		return daemonOptions{}, fmt.Errorf("bad -log-format %q (want text or json)", *logFormat)
@@ -168,7 +163,6 @@ func parseFlags(args []string) (daemonOptions, error) {
 			GraphCacheEntries: *graphCache,
 			MaxChurn:          *maxChurn,
 			MaxChainDepth:     *maxChain,
-			Reorder:           *reorderDef,
 			PrepCacheBytes:    *prepCache << 20,
 			SlowRequest:       *slow,
 			DisableTracing:    *noTrace,

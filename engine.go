@@ -11,7 +11,6 @@ import (
 	"mdbgp/internal/multilevel"
 	"mdbgp/internal/partition"
 	"mdbgp/internal/project"
-	"mdbgp/internal/reorder"
 )
 
 // EngineInfo describes a registered solver: its registry name and the
@@ -34,12 +33,6 @@ type EngineInfo struct {
 	// Options.Seed at any Parallelism — the property the content-addressed
 	// result cache relies on. Every built-in engine is deterministic.
 	Deterministic bool
-	// Kernel32 reports whether the engine honors Options.Kernel32 (float32
-	// gradient kernels). Only engines that run gradient SpMVs can: the
-	// option is fingerprinted, so Partition refuses it on any other engine
-	// rather than letting an ignored flag split cache keys between
-	// byte-identical results.
-	Kernel32 bool
 	// Streaming reports whether the engine has an out-of-core variant that
 	// consumes adjacency rows in vertex order without a materialized CSR
 	// (baselines.FennelStream). The serving layer routes graphs exceeding
@@ -167,20 +160,6 @@ func gdCoreOptions(g *Graph, opts Options) (core.Options, error) {
 	opt.Workers = opts.Parallelism
 	opt.Adaptive = !opts.DisableAdaptiveStep
 	opt.VertexFixing = !opts.DisableVertexFixing
-	m, err := reorder.Parse(opts.Reorder)
-	if err != nil {
-		return opt, err
-	}
-	opt.Reorder = m
-	// An injected prep layout rides along only when it was built for exactly
-	// this graph under exactly the requested ordering; the core re-verifies
-	// shape and weighting again before trusting it.
-	if pl := opts.PrepLayout; pl != nil && pl.graph == g && pl.method == m {
-		opt.Layout = pl.layout
-	}
-	opt.Kernel32 = opts.Kernel32
-	opt.IncrementalGradient = opts.IncrementalGradient
-	opt.ResyncEvery = opts.ResyncEvery
 	opt.Span = opts.Observer
 	if opts.Projection != "" {
 		m, err := project.ParseMethod(opts.Projection)
@@ -213,7 +192,7 @@ type gdEngine struct{}
 
 func (gdEngine) Info() EngineInfo {
 	return EngineInfo{
-		Name: "gd", WarmStart: true, Weighted: true, Deterministic: true, Kernel32: true,
+		Name: "gd", WarmStart: true, Weighted: true, Deterministic: true,
 		Description: "projected gradient descent with recursive bisection (the paper's method)",
 	}
 }
@@ -241,7 +220,7 @@ type multilevelEngine struct{}
 
 func (multilevelEngine) Info() EngineInfo {
 	return EngineInfo{
-		Name: "multilevel", WarmStart: true, Weighted: true, Deterministic: true, Kernel32: true,
+		Name: "multilevel", WarmStart: true, Weighted: true, Deterministic: true,
 		Description: "V-cycle multilevel GD (coarsen, solve coarse, warm-started refinement)",
 	}
 }

@@ -152,24 +152,6 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestMultilevelAliasSolvesIdentically locks the deprecation contract: the
-// old Multilevel flag and the explicit engine name are the same solve, byte
-// for byte.
-func TestMultilevelAliasSolvesIdentically(t *testing.T) {
-	g := engineTestGraph(t)
-	a, err := Partition(g, Options{Multilevel: true, K: 2, Seed: 42, Iterations: 30, CoarsenTo: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Partition(g, Options{Engine: "multilevel", K: 2, Seed: 42, Iterations: 30, CoarsenTo: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Assignment.Parts, b.Assignment.Parts) {
-		t.Fatal("Multilevel alias and engine=multilevel produced different partitions")
-	}
-}
-
 func TestUnknownEngineFailsPartition(t *testing.T) {
 	g := engineTestGraph(t)
 	if _, err := Partition(g, Options{Engine: "simulated-annealing", K: 2}); err == nil {

@@ -146,7 +146,7 @@ func TestGoldenMultilevel(t *testing.T) {
 	// CoarsenTo below n forces a real hierarchy on the 400-vertex fixture.
 	res, err := Partition(g, Options{
 		K: 2, Seed: 42, Iterations: 60,
-		Multilevel: true, CoarsenTo: 150, RefineIterations: 8,
+		Engine: "multilevel", CoarsenTo: 150, RefineIterations: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

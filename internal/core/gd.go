@@ -23,7 +23,6 @@ import (
 	"mdbgp/internal/obs"
 	"mdbgp/internal/partition"
 	"mdbgp/internal/project"
-	"mdbgp/internal/reorder"
 	"mdbgp/internal/vecmath"
 )
 
@@ -100,49 +99,6 @@ type Options struct {
 	// enough to leave on for every served request. Span structure and
 	// attributes are deterministic for a fixed Seed at any Workers.
 	Span *obs.Span
-	// Reorder selects a locality-improving vertex ordering for the gradient
-	// SpMV (internal/reorder): degree-sorted, BFS, or reverse Cuthill–McKee.
-	// The ordering is strictly a kernel-layout detail — per-row sums keep
-	// their original floating-point order and results are written back
-	// through the inverse permutation — so for a fixed Seed the run is
-	// byte-identical to an unreordered one; only the SpMV gets faster.
-	Reorder reorder.Method
-	// Layout, when non-nil and Reorder is set, injects a prebuilt reorder
-	// layout instead of rebuilding one per solve. The layout must mirror this
-	// exact CSR and edge weighting under the same Reorder method — callers
-	// key cached layouts by graph content hash plus method — and optimize
-	// falls back to a rebuild whenever the shape or weighting disagrees, so a
-	// stale injection degrades to a rebuild, never to a wrong answer. The run
-	// clones the layout before use (clones share the immutable permuted CSR,
-	// never scratch), so one cached layout serves concurrent solves. Because
-	// a reordered solve is byte-identical to an unreordered one, injection
-	// can never change results and the field stays outside every fingerprint.
-	Layout *reorder.Layout
-	// Kernel32 runs the gradient SpMV through the float32 kernels: x and the
-	// edge weights are rounded to float32 per value, halving the gathered
-	// bytes per arc, while every row still accumulates in float64 in its
-	// original arc order. Results remain bit-identical at any worker count
-	// and with or without Reorder/Layout, but NOT bit-identical to the
-	// float64 kernels — the option is part of the cache fingerprint and is
-	// refused by engines whose byte-stability contract it would break.
-	// Kernel32 disables IncrementalGradient (the delta scatter maintains the
-	// float64 gradient and would diverge from the 32-bit full recompute).
-	Kernel32 bool
-	// IncrementalGradient maintains the gradient across iterations by
-	// scattering only the deltas of coordinates that actually moved
-	// (snippet idiom of the reference GD implementations): once warmed up,
-	// each iteration updates grad[v] += w_uv·(z_u − prev_u) for moved
-	// neighbors u instead of recomputing the full SpMV, with an exact
-	// recompute every ResyncEvery iterations to stop float drift. The
-	// delta scatter is serial and ordered, so results remain bit-identical
-	// at any worker count — but the trajectory differs in the last ulps
-	// from a full-recompute run, so the option is part of the cache
-	// fingerprint and has its own goldens.
-	IncrementalGradient bool
-	// ResyncEvery is the exact-recompute period of IncrementalGradient
-	// (default 16): at most ResyncEvery−1 consecutive incremental updates
-	// run between full SpMVs. 1 disables incremental updates entirely.
-	ResyncEvery int
 }
 
 // DefaultOptions returns the configuration used for the paper's headline
@@ -181,21 +137,7 @@ func (o *Options) normalize() {
 	if o.NoiseScale <= 0 {
 		o.NoiseScale = o.StepLength / float64(o.Iterations)
 	}
-	if o.ResyncEvery <= 0 {
-		o.ResyncEvery = 16
-	}
-	if o.Kernel32 {
-		// The delta scatter maintains grad from float64 deltas of z; under
-		// the 32-bit kernels a full recompute would disagree with the
-		// maintained value, breaking the resync contract.
-		o.IncrementalGradient = false
-	}
 }
-
-// incrementalWarmup is the number of leading iterations that always run the
-// full SpMV before incremental updates may engage: early iterations move
-// every coordinate, so a delta scatter would touch the whole edge set anyway.
-const incrementalWarmup = 3
 
 // IterStats reports the state of GD after one iteration, feeding the
 // convergence plots of Figures 8–10.
@@ -365,84 +307,6 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 	gammaFrozen := opt.FixedGamma
 	var st project.State
 
-	// Reordering is a kernel-layout detail: the layout runs the register-
-	// blocked gather over a bandwidth-reduced row order but accumulates each
-	// row in its original arc order and scatters through the inverse
-	// permutation, so the gradient stays bit-identical either way. An injected
-	// prep-cache layout is trusted only if its shape and weighting agree with
-	// this CSR; otherwise the solve rebuilds as if nothing were injected.
-	var lay *reorder.Layout
-	if opt.Reorder != reorder.None {
-		if opt.Layout != nil && opt.Layout.Matches(wg.Offsets, wg.Adj) &&
-			opt.Layout.Weighted() == (wg.EW != nil) {
-			lay = opt.Layout.Clone()
-		} else {
-			lay = reorder.NewLayout(wg.Offsets, wg.Adj, wg.EW, opt.Reorder)
-		}
-	}
-	// The 32-bit path converts z per value each iteration (edge weights only
-	// once — they never change); the layout variant keeps its own permuted
-	// float32 mirrors. Both produce identical bits (rounding is per value,
-	// before any ordering).
-	var x32, ew32 []float32
-	if opt.Kernel32 && lay == nil {
-		x32 = make([]float32, n)
-		if wg.EW != nil {
-			ew32 = make([]float32, len(wg.Adj))
-			vecmath.Convert32Pool(ew32, wg.EW, pool)
-		}
-	}
-	// freeSums returns Σ_free grad² and, when dot is set, Σ_free z·grad,
-	// reduced over the free list in the chunk order of a masked full-length
-	// reduction, so both keep their bits whichever kernel filled grad.
-	freeSums := func(z []float64, dot bool) (float64, float64) {
-		return pool.ReduceRows2(n, freeIdx, func(seg []int32) (float64, float64) {
-			s, q := 0.0, 0.0
-			for _, i := range seg {
-				g := grad[i]
-				s += g * g
-				if dot {
-					q += z[i] * g
-				}
-			}
-			return s, q
-		})
-	}
-	// gradient sets grad = A_w·z on the free rows and returns freeSums. The
-	// default path fuses both into one register-blocked pass over the free
-	// rows; the layout and 32-bit kernels keep their own masked SpMVs.
-	gradient := func(z []float64, dot bool) (float64, float64) {
-		switch {
-		case lay != nil && opt.Kernel32:
-			lay.SpMVMasked32(z, grad, fixed, pool)
-		case lay != nil:
-			lay.SpMVMasked(z, grad, fixed, pool)
-		case opt.Kernel32:
-			vecmath.Convert32Pool(x32, z, pool)
-			vecmath.SpMVBlocked32Pool(wg.Offsets, wg.Adj, ew32, x32, grad, fixed, pool)
-		default:
-			return vecmath.SpMVRowsPool(wg.Offsets, wg.Adj, wg.EW, z, grad, freeIdx, dot, pool)
-		}
-		return freeSums(z, dot)
-	}
-
-	// Incremental-gradient state: prevZ is the input the current grad was
-	// computed from; gradValid goes false whenever grad stops being A_w·z
-	// (random-direction fallback); sinceFull counts incremental updates
-	// since the last exact recompute.
-	var prevZ []float64
-	if opt.IncrementalGradient {
-		prevZ = make([]float64, n)
-	}
-	gradValid := false
-	sinceFull := 0
-	// Failed gate checks back off geometrically (capped): early iterations
-	// move every coordinate, so rescanning z against prevZ — and keeping
-	// prevZ fresh — every iteration is pure overhead until the moved set
-	// shrinks. The schedule depends only on the iteration number and the
-	// scan results, so it is identical at every worker count.
-	checkBackoff, skipUntil := 1, 0
-
 	for t := 0; t < opt.Iterations; t++ {
 		if fixedCount == n {
 			break
@@ -460,83 +324,13 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			}
 		}
 
-		incremental := false
-		if opt.IncrementalGradient && gradValid && t >= incrementalWarmup && sinceFull+1 < opt.ResyncEvery {
-			// Delta pass: grad currently equals A_w·prevZ on free rows. Count
-			// the arc work of the moved coordinates first — the serial scatter
-			// must beat the full SpMV, and the full SpMV is masked, so the
-			// fair comparison is against the arcs of the FREE rows (with
-			// vertex fixing on, the masked kernel already skips most of the
-			// graph late in the run). The scatter's random writes cost ~2x a
-			// streaming gather per arc, hence the factor. Both the decision
-			// and the scatter depend only on z/prevZ/fixed, never on the
-			// worker count.
-			movedArcs, freeArcs := int64(0), int64(0)
-			for i := 0; i < n; i++ {
-				deg := wg.Offsets[i+1] - wg.Offsets[i]
-				if !fixed[i] {
-					freeArcs += deg
-				}
-				if z[i] != prevZ[i] {
-					movedArcs += deg
-				}
-			}
-			if 2*movedArcs > freeArcs {
-				// Too much moved: pause the checks and let prevZ go stale
-				// (gradValid=false below skips its maintenance cost too).
-				skipUntil = t + checkBackoff
-				if checkBackoff < 8 {
-					checkBackoff *= 2
-				}
-				gradValid = false
-			} else {
-				for u := 0; u < n; u++ {
-					if z[u] == prevZ[u] {
-						continue
-					}
-					d := z[u] - prevZ[u]
-					row := wg.Adj[wg.Offsets[u]:wg.Offsets[u+1]]
-					if wg.EW == nil {
-						for _, v := range row {
-							if !fixed[v] {
-								grad[v] += d
-							}
-						}
-					} else {
-						wrow := wg.EW[wg.Offsets[u]:wg.Offsets[u+1]]
-						for i, v := range row {
-							if !fixed[v] {
-								grad[v] += wrow[i] * d
-							}
-						}
-					}
-					prevZ[u] = z[u]
-				}
-				sinceFull++
-				checkBackoff = 1
-				incremental = true
-			}
-		}
-		// On sampling iterations the trajectory's Σ z·grad rides along with
-		// the norm reduction, taken before the saddle fallback below can
-		// overwrite grad. The norm accumulates in the same order either way,
-		// so gnorm is bit-identical with tracing off.
+		// The gradient grad = A_w·z on the free rows and its squared norm come
+		// from one pass over the free rows. On sampling iterations the
+		// trajectory's Σ z·grad rides along, taken before the saddle fallback
+		// below can overwrite grad. The norm accumulates in the same order
+		// either way, so gnorm is bit-identical with tracing off.
 		sample := conv != nil && conv.wantSample(t)
-		var normSq, freeQuad float64
-		if incremental {
-			normSq, freeQuad = freeSums(z, sample)
-		} else {
-			normSq, freeQuad = gradient(z, sample)
-			sinceFull = 0
-			// Keeping prevZ fresh costs a full vector copy; pay it only if
-			// the next iteration is actually allowed to use it.
-			if opt.IncrementalGradient && t+1 >= skipUntil {
-				copy(prevZ, z)
-				gradValid = true
-			} else {
-				gradValid = false
-			}
-		}
+		normSq, freeQuad := vecmath.SpMVRowsPool(wg.Offsets, wg.Adj, wg.EW, z, grad, freeIdx, sample, pool)
 		if sample {
 			conv.record(t, freeQuad)
 		}
@@ -545,14 +339,17 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 		if gnorm < 1e-12 {
 			// Saddle/flat region: fall back to a random direction so the
 			// iteration still makes progress (noise escape, §2.1 Step 1).
-			// grad is no longer A_w·z after this, so the incremental path
-			// must recompute from scratch next iteration.
-			gradValid = false
 			gradIsNoise = true
 			for _, i := range freeIdx {
 				grad[i] = rng.NormFloat64()
 			}
-			normSq, _ = freeSums(z, false)
+			normSq, _ = pool.ReduceRows2(n, freeIdx, func(seg []int32) (float64, float64) {
+				s := 0.0
+				for _, i := range seg {
+					s += grad[i] * grad[i]
+				}
+				return s, 0
+			})
 			gnorm = math.Sqrt(normSq)
 			if gnorm == 0 {
 				break

@@ -162,16 +162,10 @@ func recurse(sub *graph.Graph, ws [][]float64, ids []int32, k, base int, opt Opt
 	leftG, leftWs, leftIDs := build(leftLocal)
 	rightG, rightWs, rightIDs := build(rightLocal)
 
-	// An injected prep layout belongs to the root graph only; child subgraphs
-	// are fresh CSRs that must rebuild (or skip) their own layouts. Matches
-	// would almost always reject it anyway — clearing makes root-only a
-	// guarantee instead of a probability.
 	oLeft := opt
 	oLeft.Seed = opt.Seed*1000003 + 1
-	oLeft.Layout = nil
 	oRight := opt
 	oRight.Seed = opt.Seed*1000003 + 2
-	oRight.Layout = nil
 	if opt.WarmParts != nil {
 		oLeft.WarmParts = restrictParts(opt.WarmParts, leftLocal)
 		oRight.WarmParts = restrictParts(opt.WarmParts, rightLocal)

@@ -29,9 +29,6 @@ type Context struct {
 	// GOMAXPROCS, 1 forces the serial path. Partitions are seed-
 	// deterministic regardless, so cached results stay comparable.
 	Parallelism int
-	// Multilevel routes every GD partition through the V-cycle multilevel
-	// path (multilevel.PartitionK) instead of direct recursive GD.
-	Multilevel bool
 	// Engine, when set to a registered engine name other than "gd" or
 	// "multilevel", routes the partitions GDPartition would compute through
 	// that engine instead — the tables then report the named engine in the
@@ -135,15 +132,12 @@ func (c *Context) GDOptions() core.Options {
 }
 
 // GDPartition runs (and caches) the context's solver with the given balance
-// mode and k: direct GD by default, the multilevel V-cycle when c.Multilevel
-// is set, or any registered engine when c.Engine names one.
+// mode and k: direct GD by default, or any registered engine when c.Engine
+// names one ("multilevel" runs the V-cycle).
 func (c *Context) GDPartition(name, mode string, k int) (*partition.Assignment, error) {
 	engine := c.Engine
-	if engine == "" || engine == "gd" {
+	if engine == "" {
 		engine = "gd"
-		if c.Multilevel {
-			engine = "gdml"
-		}
 	}
 	key := fmt.Sprintf("%s:%s:%s:k=%d", engine, name, mode, k)
 	if a, ok := c.parts[key]; ok {
@@ -162,7 +156,7 @@ func (c *Context) GDPartition(name, mode string, k int) (*partition.Assignment, 
 	switch engine {
 	case "gd":
 		a, err = core.PartitionK(g, ws, k, c.GDOptions())
-	case "gdml", "multilevel":
+	case "multilevel":
 		a, err = multilevel.PartitionK(g, ws, k, multilevel.Options{GD: c.GDOptions()})
 	default:
 		// Every other engine dispatches through the injected registry hook;

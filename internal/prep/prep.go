@@ -1,7 +1,7 @@
 // Package prep is a byte-budgeted LRU over prepared solve artifacts — the
-// assignment-independent preprocessing (reorder layouts, coarsening
-// hierarchies) that depends only on a graph's structure and a handful of
-// options, and is therefore reusable across every solve of the same graph.
+// assignment-independent preprocessing (today: coarsening hierarchies) that
+// depends only on a graph's structure and a handful of options, and is
+// therefore reusable across every solve of the same graph.
 //
 // The cache is deliberately dumb about what it stores: artifacts are opaque
 // values with a byte size, and keys are caller-composed strings (the daemon
@@ -30,7 +30,7 @@ type Artifact interface {
 }
 
 // Cache is a thread-safe LRU bounded by a byte budget rather than an entry
-// count: artifacts range from a few-KB layout for a toy graph to a
+// count: artifacts range from a few-KB hierarchy for a toy graph to a
 // hundreds-of-MB hierarchy for a large one, so counting entries would make
 // the bound meaningless. A nil *Cache is valid and behaves as disabled.
 type Cache struct {

@@ -54,18 +54,6 @@ func TestEngineOmittedDefaultsToGD(t *testing.T) {
 	if code != http.StatusOK || m["engine"] != "gd" {
 		t.Fatalf("default engine: %d %v", code, m)
 	}
-	// The deprecated multilevel=true spelling resolves to the multilevel
-	// engine.
-	code, m = submit(t, ts, "k=2&seed=1&iters=20&multilevel=true&wait=true", body)
-	if code != http.StatusOK || m["engine"] != "multilevel" {
-		t.Fatalf("multilevel alias: %d %v", code, m)
-	}
-	// And it is the SAME content address as the explicit spelling: the
-	// second submission must hit the first's cache entry.
-	code, m = submit(t, ts, "k=2&seed=1&iters=20&engine=multilevel&wait=true", body)
-	if code != http.StatusOK || m["cache"] != "hit" {
-		t.Fatalf("engine=multilevel should hit the alias's cache entry: %d %v", code, m)
-	}
 }
 
 // TestEngineCacheKeysNeverCollide submits one graph under every engine and
@@ -102,16 +90,6 @@ func TestEngineParamErrors(t *testing.T) {
 	code, m := submit(t, ts, "k=2&engine=simulated-annealing", body)
 	if code != http.StatusBadRequest || !strings.Contains(m["error"].(string), "unknown engine") {
 		t.Fatalf("unknown engine: %d %v", code, m)
-	}
-	// Conflicting engine= and multilevel=: 400.
-	code, m = submit(t, ts, "k=2&engine=fennel&multilevel=true", body)
-	if code != http.StatusBadRequest || !strings.Contains(m["error"].(string), "conflicting") {
-		t.Fatalf("conflict: %d %v", code, m)
-	}
-	// engine=multilevel plus multilevel=true agree: accepted.
-	code, m = submit(t, ts, "k=2&seed=5&iters=20&engine=multilevel&multilevel=true&wait=true", body)
-	if code != http.StatusOK {
-		t.Fatalf("agreeing alias rejected: %d %v", code, m)
 	}
 	// Explicit dims on an engine without weighted support: 422, the request
 	// is well-formed but semantically unsatisfiable.

@@ -192,7 +192,7 @@ func (s *Server) ingestOutOfCore(w http.ResponseWriter, req *submitRequest, hdr 
 	// before the server spends disk bandwidth on it. Only a fully default
 	// request (no explicit engine, no explicit dims) is auto-routed: changing
 	// the solver behind an explicit choice would be a silent downgrade.
-	if req.opts.Engine == "" && !req.opts.Multilevel {
+	if req.opts.Engine == "" {
 		req.opts.Engine = "fennel"
 		eng, err := mdbgp.LookupEngine(req.opts.Engine)
 		if err != nil {

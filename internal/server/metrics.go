@@ -278,7 +278,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("mdbgpd_graph_cache_entries", "Base graphs held for delta submissions.", int64(snap.graphEntries))
 	gauge("mdbgpd_graph_cache_bytes", "Approximate bytes held by cached base graphs (payloads + keys + bookkeeping).", snap.graphBytes)
 	counter("mdbgpd_graph_cache_accounting_clamps_total", "Times the graph-cache byte gauge went negative and was clamped (accounting bug).", snap.graphClamps)
-	counter("mdbgpd_prep_cache_hits_total", "Prep-artifact lookups served from cache (reorder layouts, coarsening hierarchies).", snap.prepStats.Hits)
+	counter("mdbgpd_prep_cache_hits_total", "Prep-artifact lookups served from cache (coarsening hierarchies).", snap.prepStats.Hits)
 	counter("mdbgpd_prep_cache_misses_total", "Prep-artifact lookups that built the artifact inline (stale entries included).", snap.prepStats.Misses)
 	counter("mdbgpd_prep_cache_evictions_total", "Prep artifacts evicted to hold the byte budget.", snap.prepStats.Evictions)
 	gauge("mdbgpd_prep_cache_entries", "Prep artifacts currently retained.", int64(snap.prepStats.Entries))

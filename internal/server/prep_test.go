@@ -30,17 +30,21 @@ func solveAndFetch(t *testing.T, ts *httptest.Server, query string, body []byte)
 }
 
 // TestPrepCachedSolveByteIdentical is the injection contract end to end: a
-// solve that reuses a cached prep artifact (layout or hierarchy) must produce
-// the same assignment, byte for byte, as a solve that rebuilds it — across
-// every prep-capable engine and at several worker counts. The second request
-// varies iters so it misses the RESULT cache (a real solve runs) while
-// hitting the PREP cache (same graph, same artifact parameters).
+// solve that reuses a cached coarsening hierarchy must produce the same
+// assignment, byte for byte, as a solve that rebuilds it — across every
+// coarsening engine and at several worker counts. The second request varies
+// iters so it misses the RESULT cache (a real solve runs) while hitting the
+// PREP cache (same graph, same artifact parameters). gd coarsens nothing, so
+// its solves must leave the prep cache untouched.
 func TestPrepCachedSolveByteIdentical(t *testing.T) {
 	_, body := testGraph(t, 3)
-	engines := []struct{ name, extra string }{
-		{"gd", "&reorder=bfs"},         // layout artifact
-		{"multilevel", "&reorder=bfs"}, // layout + hierarchy artifacts
-		{"metis", ""},                  // hierarchy artifact
+	engines := []struct {
+		name, extra string
+		prep        bool // the engine has a hierarchy to cache
+	}{
+		{"gd", "", false},
+		{"multilevel", "&coarsento=100", true},
+		{"metis", "", true},
 	}
 	for _, eng := range engines {
 		for _, workers := range []int{1, 2, 8} {
@@ -54,8 +58,13 @@ func TestPrepCachedSolveByteIdentical(t *testing.T) {
 					t.Fatalf("priming solve hit the prep cache (%g hits) — nothing could have built the artifact yet", hits)
 				}
 				got := solveAndFetch(t, tsCached, reuse, body)
-				if hits := metric(t, tsCached, "mdbgpd_prep_cache_hits_total"); hits == 0 {
+				hits := metric(t, tsCached, "mdbgpd_prep_cache_hits_total")
+				misses := metric(t, tsCached, "mdbgpd_prep_cache_misses_total")
+				if eng.prep && hits == 0 {
 					t.Fatal("repeat solve did not hit the prep cache; injection is not wired")
+				}
+				if !eng.prep && hits+misses != 0 {
+					t.Fatalf("%s solves made %g prep lookups; the engine has no artifact to prepare", eng.name, hits+misses)
 				}
 				want := solveAndFetch(t, tsRebuild, reuse, body)
 				if !bytes.Equal(got, want) {
@@ -66,54 +75,11 @@ func TestPrepCachedSolveByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPrepKeyResolvedReorderMethod audits satellite concern #2: prep-cache
-// keys must derive from the RESOLVED reorder method, so a request riding the
-// fleet-wide -reorder default and a request spelling the same method
-// explicitly share one artifact, while "none" builds nothing and a different
-// method gets its own entry.
-func TestPrepKeyResolvedReorderMethod(t *testing.T) {
-	_, body := testGraph(t, 4)
-	_, ts := startServer(t, Config{Workers: 1, Reorder: "bfs"})
-
-	// No ?reorder=: the fleet default (bfs) applies; first sight builds.
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&iters=40", body)
-	if e := metric(t, ts, "mdbgpd_prep_cache_entries"); e != 1 {
-		t.Fatalf("after fleet-default solve: %g entries, want 1 layout", e)
-	}
-	// Explicit ?reorder=bfs must address the SAME artifact — resolved method,
-	// not raw request spelling.
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&iters=50&reorder=bfs", body)
-	if h := metric(t, ts, "mdbgpd_prep_cache_hits_total"); h != 1 {
-		t.Fatalf("explicit reorder=bfs got %g prep hits, want 1 (shared with the fleet-default artifact)", h)
-	}
-	// Explicit ?reorder=none opts out of reordering entirely: no lookup, no
-	// build, no new entry.
-	before := metric(t, ts, "mdbgpd_prep_cache_misses_total")
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&iters=60&reorder=none", body)
-	if e := metric(t, ts, "mdbgpd_prep_cache_entries"); e != 1 {
-		t.Fatalf("reorder=none changed the entry count to %g", e)
-	}
-	if m := metric(t, ts, "mdbgpd_prep_cache_misses_total"); m != before {
-		t.Fatalf("reorder=none performed a prep lookup (misses %g -> %g)", before, m)
-	}
-	// A different method is a different artifact.
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&iters=70&reorder=degree", body)
-	if e := metric(t, ts, "mdbgpd_prep_cache_entries"); e != 2 {
-		t.Fatalf("reorder=degree: %g entries, want 2 distinct layouts", e)
-	}
-}
-
 // TestPrepKeyDerivation pins the key composition directly: every input that
 // shapes an artifact must fork its key. The engines would catch a collision
 // by degrading to a rebuild, but a collision still means one artifact family
 // silently evicting the other on every alternation.
 func TestPrepKeyDerivation(t *testing.T) {
-	if layoutPrepKey("h", "bfs") == layoutPrepKey("h", "degree") {
-		t.Fatal("layout keys collide across methods")
-	}
-	if layoutPrepKey("h1", "bfs") == layoutPrepKey("h2", "bfs") {
-		t.Fatal("layout keys collide across graphs")
-	}
 	base := mdbgp.Options{Engine: "multilevel", Seed: 1, CoarsenTo: 100, ClusterSize: 8}
 	k0 := hierarchyPrepKey("h", base, "deg")
 	vary := map[string]mdbgp.Options{
@@ -133,10 +99,6 @@ func TestPrepKeyDerivation(t *testing.T) {
 	if hierarchyPrepKey("g", base, "deg") == k0 {
 		t.Fatal("hierarchy key ignores the graph hash")
 	}
-	// Layout and hierarchy kinds must never collide even on equal params.
-	if layoutPrepKey("h", "bfs") == hierarchyPrepKey("h", base, "deg") {
-		t.Fatal("artifact kinds collide")
-	}
 }
 
 // TestPrepEvictionMidFlight forces artifact eviction while solves are in
@@ -149,10 +111,10 @@ func TestPrepKeyDerivation(t *testing.T) {
 func TestPrepEvictionMidFlight(t *testing.T) {
 	_, bodyA := testGraph(t, 1)
 	_, bodyB := testGraph(t, 2)
-	const q = "k=4&seed=7&engine=multilevel&reorder=bfs"
+	const q = "k=4&seed=7&engine=multilevel&coarsento=100"
 
 	// Probe: solve A once on a generously-budgeted server and read back how
-	// many bytes its artifacts retain, so the real budget tracks the
+	// many bytes its hierarchy retains, so the real budget tracks the
 	// generator instead of hard-coding sizes.
 	_, tsProbe := startServer(t, Config{Workers: 1})
 	solveAndFetch(t, tsProbe, q+"&iters=40", bodyA)
@@ -198,7 +160,7 @@ func TestPrepConcurrentSameGraph(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q := fmt.Sprintf("k=4&seed=9&engine=multilevel&reorder=bfs&iters=%d&wait=true", 40+10*(i%lanes))
+			q := fmt.Sprintf("k=4&seed=9&engine=multilevel&coarsento=100&iters=%d&wait=true", 40+10*(i%lanes))
 			resp, err := http.Post(ts.URL+"/v1/partition?"+q, "text/plain", bytes.NewReader(body))
 			if err != nil {
 				errs <- err
@@ -255,41 +217,6 @@ func TestPrepConcurrentSameGraph(t *testing.T) {
 	}
 }
 
-// TestKernel32Param covers the float32-kernel opt-in at the HTTP surface:
-// accepted on gradient engines (and forking the result-cache key, since the
-// option is fingerprinted), refused with a 400 on engines that cannot honor
-// it and on the incompatible incgrad combination.
-func TestKernel32Param(t *testing.T) {
-	_, body := testGraph(t, 6)
-	_, ts := startServer(t, Config{Workers: 1})
-
-	a64 := solveAndFetch(t, ts, "k=4&seed=7&engine=gd", body)
-	a32 := solveAndFetch(t, ts, "k=4&seed=7&engine=gd&kernel32=true", body)
-	if h := metric(t, ts, "mdbgpd_cache_hits_total"); h != 0 {
-		t.Fatalf("kernel32=true shared a result-cache entry with the float64 solve (%g hits)", h)
-	}
-	// Same determinism contract, different rounding: both are valid
-	// assignments of the same length.
-	if len(a64) == 0 || len(a32) == 0 {
-		t.Fatal("empty assignment")
-	}
-	// Re-submitting the kernel32 solve hits its own cache entry.
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&kernel32=true", body)
-	if h := metric(t, ts, "mdbgpd_cache_hits_total"); h != 1 {
-		t.Fatalf("repeat kernel32 solve: %g result-cache hits, want 1", h)
-	}
-
-	for _, q := range []string{
-		"k=4&engine=fennel&kernel32=true",
-		"k=4&engine=metis&kernel32=true",
-		"k=4&engine=gd&kernel32=true&incgrad=true",
-	} {
-		if code, m := submit(t, ts, q, body); code != http.StatusBadRequest {
-			t.Fatalf("submit %q: status %d (%v), want 400", q, code, m)
-		}
-	}
-}
-
 // TestPrepSurvivesResubmission is the pointer-canonicalization contract: a
 // byte-identical resubmission parses into a NEW graph object, and prep
 // artifacts validate by instance identity — so reuse only works because the
@@ -299,15 +226,15 @@ func TestKernel32Param(t *testing.T) {
 func TestPrepSurvivesResubmission(t *testing.T) {
 	_, body := testGraph(t, 8)
 	_, ts := startServer(t, Config{Workers: 1})
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&reorder=bfs&iters=40", body)
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&reorder=bfs&iters=50", body)
+	solveAndFetch(t, ts, "k=4&seed=7&engine=multilevel&coarsento=100&iters=40", body)
+	solveAndFetch(t, ts, "k=4&seed=7&engine=multilevel&coarsento=100&iters=50", body)
 	if h := metric(t, ts, "mdbgpd_prep_cache_hits_total"); h != 1 {
 		t.Fatalf("resubmission got %g prep hits, want 1 (graph canonicalization broken?)", h)
 	}
 
 	_, tsNoGraph := startServer(t, Config{Workers: 1, GraphCacheEntries: -1})
-	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=gd&reorder=bfs&iters=40", body)
-	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=gd&reorder=bfs&iters=50", body)
+	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=multilevel&coarsento=100&iters=40", body)
+	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=multilevel&coarsento=100&iters=50", body)
 	if h := metric(t, tsNoGraph, "mdbgpd_prep_cache_hits_total"); h != 0 {
 		t.Fatalf("without graph canonicalization the stale artifact must not hit (got %g hits)", h)
 	}

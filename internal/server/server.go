@@ -114,22 +114,15 @@ type Config struct {
 	// A cold solve (forced or otherwise) resets the chain to depth zero
 	// (0 = 8, negative disables the limit).
 	MaxChainDepth int
-	// PrepCacheBytes budgets the prep-artifact cache: reorder layouts and
-	// coarsening hierarchies built for one solve are retained (keyed by graph
-	// hash, artifact kind and parameters) and injected into later solves of
-	// the same graph, which skip the rebuild. Injection never changes
+	// PrepCacheBytes budgets the prep-artifact cache: coarsening hierarchies
+	// built for one solve are retained (keyed by graph hash, engine and
+	// parameters) and injected into later solves of the same graph, which
+	// skip the rebuild. Injection never changes
 	// results — a cached-prep solve is byte-identical to a rebuilt-prep
 	// solve, and the artifacts stay out of option fingerprints — so this is
 	// purely a latency/CPU-for-memory trade (0 = 256 MiB, negative
 	// disables).
 	PrepCacheBytes int64
-	// Reorder is the vertex-reordering pass applied to the gradient kernels
-	// of submissions that do not pass ?reorder= themselves ("" = none; see
-	// mdbgp.ReorderNames). Reordering never changes results — it is a
-	// throughput default the operator picks for the fleet — but it is part
-	// of the options fingerprint, so flipping it starts a fresh cache
-	// generation.
-	Reorder string
 	// Logger receives structured request/job logs (nil = discard). Every
 	// record carries the job id, so a log line joins against the polling API
 	// and the trace endpoint.
@@ -250,7 +243,7 @@ type Server struct {
 
 	cache  *resultCache
 	graphs *graphCache
-	preps  *prep.Cache       // prepared layouts/hierarchies, keyed per graph
+	preps  *prep.Cache       // prepared coarsening hierarchies, keyed per graph
 	disk   *cachestore.Store // durable tier; nil when Config.CacheDir is empty
 	met    metrics
 	seq    atomic.Int64
@@ -376,11 +369,17 @@ type submitRequest struct {
 
 var allowedParams = map[string]bool{
 	"k": true, "eps": true, "dims": true, "iters": true, "step": true,
-	"projection": true, "seed": true, "engine": true, "multilevel": true,
+	"projection": true, "seed": true, "engine": true,
 	"coarsento": true, "clustersize": true, "refineiters": true,
-	"reorder": true, "incgrad": true, "resync": true, "kernel32": true,
 	"wait": true, "base": true,
 }
+
+// maxIterBudget bounds iters= and refineiters=. Solve time grows linearly
+// with the budget while the step length shrinks as 1/iters, so fewer
+// vertices fix and the loop rarely ends early: on a 2000-vertex, 10k-edge
+// k=8 solve, iters=10000 takes about a second and iters=100000 about ten.
+// The bound is 100x the paper's default of 100 iterations.
+const maxIterBudget = 10000
 
 func parseSubmit(r *http.Request) (submitRequest, error) {
 	q := r.URL.Query()
@@ -419,6 +418,9 @@ func parseSubmit(r *http.Request) (submitRequest, error) {
 	if err := intParam("iters", &req.opts.Iterations); err != nil {
 		return req, err
 	}
+	if err := checkIterBudget("iters", req.opts.Iterations); err != nil {
+		return req, err
+	}
 	if v := q.Get("step"); v != "" {
 		st, err := strconv.ParseFloat(v, 64)
 		if err != nil || st <= 0 {
@@ -445,15 +447,6 @@ func parseSubmit(r *http.Request) (submitRequest, error) {
 		return nil
 	}
 	req.opts.Engine = q.Get("engine")
-	if err := boolParam("multilevel", &req.opts.Multilevel); err != nil {
-		return req, err
-	}
-	// multilevel= is the deprecated alias for engine=multilevel; a request
-	// naming both with different meanings is contradictory, and silently
-	// letting one win would surprise whichever client loses.
-	if req.opts.Multilevel && req.opts.Engine != "" && req.opts.Engine != "multilevel" {
-		return req, fmt.Errorf("conflicting engine=%s and multilevel=true (multilevel is an alias for engine=multilevel)", req.opts.Engine)
-	}
 	eng, err := mdbgp.LookupEngine(req.opts.Canonical().Engine)
 	if err != nil {
 		return req, err // unknown engine: the error lists the known names
@@ -468,36 +461,11 @@ func parseSubmit(r *http.Request) (submitRequest, error) {
 	if err := intParam("refineiters", &req.opts.RefineIterations); err != nil {
 		return req, err
 	}
+	if err := checkIterBudget("refineiters", req.opts.RefineIterations); err != nil {
+		return req, err
+	}
 	if err := boolParam("wait", &req.wait); err != nil {
 		return req, err
-	}
-	req.opts.Reorder = q.Get("reorder")
-	if err := mdbgp.ValidateReorder(req.opts.Reorder); err != nil {
-		return req, err
-	}
-	if err := boolParam("incgrad", &req.opts.IncrementalGradient); err != nil {
-		return req, err
-	}
-	if err := intParam("resync", &req.opts.ResyncEvery); err != nil {
-		return req, err
-	}
-	if req.opts.ResyncEvery < 0 {
-		return req, fmt.Errorf("resync=%d out of range (want >= 0; 0 selects the default)", req.opts.ResyncEvery)
-	}
-	if err := boolParam("kernel32", &req.opts.Kernel32); err != nil {
-		return req, err
-	}
-	// kernel32 is validated at submit time for the same reason projection is:
-	// the engine would refuse it anyway (it is fingerprinted, so an ignored
-	// flag would split cache keys between byte-identical results), and a 400
-	// here beats a failed job later.
-	if req.opts.Kernel32 {
-		if !req.engine.Kernel32 {
-			return req, fmt.Errorf("engine %q does not support kernel32 (float32 gradient kernels); use a gradient engine", req.engine.Name)
-		}
-		if req.opts.IncrementalGradient {
-			return req, fmt.Errorf("kernel32 and incgrad are mutually exclusive (incremental updates assume the float64 kernels)")
-		}
 	}
 	req.base = q.Get("base")
 	req.dimsExplicit = q.Get("dims") != ""
@@ -515,6 +483,15 @@ func parseSubmit(r *http.Request) (submitRequest, error) {
 		return req, fmt.Errorf("projection=nested is not served: its cost grows steeply with the number of balance dimensions (a 6000-vertex k=8 solve takes seconds at two dims and minutes at three), so one request could hold a solver worker for minutes; it stays available in the library and CLI as a reference method")
 	}
 	return req, nil
+}
+
+// checkIterBudget refuses an iteration budget outside [0, maxIterBudget];
+// 0 keeps the default.
+func checkIterBudget(name string, v int) error {
+	if v < 0 || v > maxIterBudget {
+		return fmt.Errorf("%s=%d out of range (want 0 to %d; 0 selects the default): solve time grows linearly with the iteration budget, so one request could hold a solver worker for hours", name, v, maxIterBudget)
+	}
+	return nil
 }
 
 // cacheKey is the content address of a request: the engine generation (so a
@@ -537,11 +514,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	// The operator's fleet-wide reordering default applies only when the
-	// client has no opinion; an explicit ?reorder= (including "none") wins.
-	if req.opts.Reorder == "" {
-		req.opts.Reorder = s.cfg.Reorder
 	}
 	// Capability gate: an engine without weighted support balances a fixed
 	// built-in dimension and cannot honor an explicit dims= request — that

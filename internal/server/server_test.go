@@ -467,6 +467,15 @@ func TestErrorPaths(t *testing.T) {
 		{"bad seed", "seed=abc", body, http.StatusBadRequest},
 		{"bad projection", "projection=nope", body, http.StatusBadRequest},
 		{"nested projection", "projection=nested", body, http.StatusBadRequest}, // seconds to minutes per solve at 2–3 dims
+		{"iters above bound", "iters=10001", body, http.StatusBadRequest},       // solve time grows linearly with iters
+		{"negative iters", "iters=-1", body, http.StatusBadRequest},
+		{"refineiters above bound", "engine=multilevel&refineiters=10001", body, http.StatusBadRequest},
+		{"negative refineiters", "engine=multilevel&refineiters=-1", body, http.StatusBadRequest},
+		{"removed reorder", "reorder=degree", body, http.StatusBadRequest},
+		{"removed incgrad", "incgrad=true", body, http.StatusBadRequest},
+		{"removed resync", "resync=4", body, http.StatusBadRequest},
+		{"removed kernel32", "kernel32=true", body, http.StatusBadRequest},
+		{"removed multilevel alias", "multilevel=true", body, http.StatusBadRequest},
 		{"bad dims", "dims=vertices,bogus", body, http.StatusBadRequest},
 		{"malformed body", "", []byte("0 1\nnot an edge\n"), http.StatusBadRequest},
 		{"empty body", "", nil, http.StatusBadRequest},
@@ -483,6 +492,16 @@ func TestErrorPaths(t *testing.T) {
 	// The nested refusal says why, not just that.
 	if _, m := submit(t, ts, "projection=nested", body); !strings.Contains(fmt.Sprint(m["error"]), "balance dimensions") {
 		t.Fatalf("nested refusal does not explain itself: %v", m["error"])
+	}
+	// The iteration-budget refusal names the bound; the bound itself parses.
+	if _, m := submit(t, ts, "iters=10001", body); !strings.Contains(fmt.Sprint(m["error"]), "10000") {
+		t.Fatalf("iters refusal does not name the bound: %v", m["error"])
+	}
+	if _, err := parseSubmit(httptest.NewRequest(http.MethodPost, "/v1/partition?iters=10000&engine=multilevel&refineiters=10000", nil)); err != nil {
+		t.Fatalf("budgets at the bound refused: %v", err)
+	}
+	if _, m := submit(t, ts, "reorder=degree", body); !strings.Contains(fmt.Sprint(m["error"]), "unknown query parameter") {
+		t.Fatalf("removed parameter not refused as unknown: %v", m["error"])
 	}
 
 	// No submissions above were accepted.

@@ -2,14 +2,14 @@ package vecmath
 
 import "unsafe"
 
-// blockRows is the register-blocking factor of SpMVBlockedPool: rows are
-// processed in groups of four with one independent accumulator chain each.
-// A single row's gather is latency-bound on the serial float64 add chain
-// (one add per arc); four interleaved chains keep the load ports busy
-// instead. Groups start at multiples of four relative to row 0 and Pool
-// chunks are 4096-aligned, so the grouping — and therefore the performance
-// profile — is independent of the worker count, while each row's sum order
-// never changes at all.
+// blockRows is the register-blocking factor of SpMVRowsPool: listed rows
+// are processed in groups of four with one independent accumulator chain
+// each. A single row's gather is latency-bound on the serial float64 add
+// chain (one add per arc); four interleaved chains keep the load ports busy
+// instead. Groups start at multiples of four within each fixed Pool chunk's
+// row segment, so the grouping — and therefore the performance profile — is
+// independent of the worker count, while each row's sum order never changes
+// at all.
 const blockRows = 4
 
 // spmvRowUnsafe continues accumulating a CSR row over arcs [b, e) starting
@@ -82,7 +82,7 @@ func spmvRows4(ab, eb, xb unsafe.Pointer, offsets []int64, v0, v1, v2, v3 int) (
 }
 
 // checkBlockedArgs rejects the slice-length mismatches that the unchecked
-// loads of the blocked kernels would otherwise turn into out-of-bounds
+// loads of the blocked kernel would otherwise turn into out-of-bounds
 // reads. n = len(offsets)-1 must be positive.
 func checkBlockedArgs(kernel string, offsets []int64, adj []int32, ew, x, dst []float64) {
 	n := len(offsets) - 1
@@ -97,65 +97,6 @@ func checkBlockedArgs(kernel string, offsets []int64, adj []int32, ew, x, dst []
 	}
 }
 
-// SpMVBlockedPool computes dst = A_w·x over a raw weighted CSR adjacency
-// exactly like SpMVWeightedMaskedPool — same masking rules, same per-row
-// left-to-right summation order, bit-identical output at any worker count —
-// but register-blocked: rows run in interleaved groups of four, and the
-// gather x[adj[i]] uses unchecked loads. It is the speed-of-light variant
-// of the gradient kernel for bandwidth-reduced (reordered) layouts, and is
-// what internal/reorder's Layout drives.
-//
-// Unlike the checked kernels it REQUIRES the CSR validity invariant: every
-// adj[i] must lie in [0, len(offsets)-1). graph.Graph construction and
-// reorder.NewLayout guarantee this; callers handing in hand-built arrays
-// must validate them first (graph.FromCSR does). Slice-length mismatches
-// are rejected up front.
-func SpMVBlockedPool(offsets []int64, adj []int32, ew []float64, x, dst []float64, fixed []bool, p *Pool) {
-	n := len(offsets) - 1
-	if n <= 0 {
-		return
-	}
-	checkBlockedArgs("SpMVBlockedPool", offsets, adj, ew, x, dst)
-	if fixed != nil && len(fixed) != n {
-		panic("vecmath: SpMVBlockedPool mask length mismatch")
-	}
-	if len(adj) == 0 {
-		p.For(n, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if fixed == nil || !fixed[v] {
-					dst[v] = 0
-				}
-			}
-		})
-		return
-	}
-	xb := unsafe.Pointer(&x[0])
-	ab := unsafe.Pointer(&adj[0])
-	var eb unsafe.Pointer
-	if ew != nil {
-		eb = unsafe.Pointer(&ew[0])
-	}
-	p.For(n, func(lo, hi int) {
-		v := lo
-		for ; v+blockRows <= hi; v += blockRows {
-			if fixed != nil && (fixed[v] || fixed[v+1] || fixed[v+2] || fixed[v+3]) {
-				for w := v; w < v+blockRows; w++ {
-					if !fixed[w] {
-						dst[w] = spmvRowUnsafe(ab, eb, xb, offsets[w], offsets[w+1], 0)
-					}
-				}
-				continue
-			}
-			dst[v], dst[v+1], dst[v+2], dst[v+3] = spmvRows4(ab, eb, xb, offsets, v, v+1, v+2, v+3)
-		}
-		for ; v < hi; v++ {
-			if fixed == nil || !fixed[v] {
-				dst[v] = spmvRowUnsafe(ab, eb, xb, offsets[v], offsets[v+1], 0)
-			}
-		}
-	})
-}
-
 // SpMVRowsPool computes dst[v] = (A_w·x)[v] for exactly the rows listed in
 // rows, which must be strictly ascending and lie in [0, n), and leaves every
 // other entry of dst untouched. It returns Σ dst[v]² over the listed rows
@@ -164,16 +105,19 @@ func SpMVBlockedPool(offsets []int64, adj []int32, ew []float64, x, dst []float6
 // convergence trajectory's free quadratic form — fused into the same pass,
 // so an iteration costs O(listed arcs + listed rows) instead of O(n + m).
 //
-// Listed rows run register-blocked, four at a time, through the same
-// lockstep loop as SpMVBlockedPool, so every row sum has the bits of
-// SpMVWeightedMaskedPool with the unlisted rows masked. The two sums are
+// Listed rows run register-blocked, four at a time, through a lockstep loop
+// that keeps every row's left-to-right arc order, so every row sum has the
+// bits of SpMVWeightedMaskedPool with the unlisted rows masked. The two sums are
 // Pool.ReduceRows2 reductions — per fixed chunk of [0, n) in index order,
 // then across chunks in chunk order — which is the association of ReduceSum2
 // over a masked full-length loop. Results are therefore bit-identical to the
 // masked kernel plus a masked ReduceSum2, at any worker count.
 //
-// Like SpMVBlockedPool it REQUIRES the CSR validity invariant and rejects
-// slice-length mismatches up front.
+// Its gathers use unchecked loads, so it REQUIRES the CSR validity
+// invariant: every adj[i] must lie in [0, len(offsets)-1). graph.Graph
+// construction guarantees this; callers handing in hand-built arrays must
+// validate them first (graph.FromCSR does). Slice-length mismatches are
+// rejected up front.
 func SpMVRowsPool(offsets []int64, adj []int32, ew []float64, x, dst []float64, rows []int32, dot bool, p *Pool) (sumSq, sumDot float64) {
 	n := len(offsets) - 1
 	if n <= 0 {

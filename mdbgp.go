@@ -41,8 +41,7 @@
 // V-cycle, the "fennel"/"blp"/"shp" baselines or the "metis" comparator,
 // each with declared capabilities (warm-start and multi-dimensional weight
 // support). Options.Fingerprint covers the engine name, so distinct engines
-// never share a content-addressed cache entry; Options.Multilevel remains as
-// a deprecated alias canonicalizing to Engine = "multilevel".
+// never share a content-addressed cache entry.
 //
 // The packages under internal/ contain the full system: the GD core, exact
 // and iterative projection algorithms, baseline partitioners (Hash, Spinner,
@@ -64,8 +63,8 @@
 //
 // # Multilevel execution
 //
-// Options.Multilevel switches each bisection to a V-cycle (the -multilevel
-// flag on both binaries): the graph is coarsened by size-capped greedy
+// Engine = "multilevel" switches each bisection to a V-cycle (-engine
+// multilevel on both binaries): the graph is coarsened by size-capped greedy
 // clustering — multi-dimensional vertex weights and cut weights are
 // preserved exactly at every level — GD runs on the coarsest level, and the
 // fractional solution is prolongated level by level as a warm start for a
@@ -93,7 +92,6 @@ import (
 	"mdbgp/internal/obs"
 	"mdbgp/internal/partition"
 	"mdbgp/internal/project"
-	"mdbgp/internal/reorder"
 	"mdbgp/internal/weights"
 )
 
@@ -330,23 +328,15 @@ type Options struct {
 	DisableAdaptiveStep bool
 	// DisableVertexFixing turns off snapping of near-integral coordinates.
 	DisableVertexFixing bool
-	// Multilevel is a deprecated alias for Engine = "multilevel" (the
-	// V-cycle: coarsen the graph by size-capped greedy clustering, run GD on
-	// the coarsest level, prolongate the fractional solution as a warm
-	// start, and spend a small refinement budget per level). Canonical
-	// resolves the alias, so Options{Multilevel: true} and
-	// Options{Engine: "multilevel"} fingerprint — and solve — identically.
-	// When Engine explicitly names a different engine, Multilevel is
-	// ignored. Prefer Engine in new code.
-	Multilevel bool
 	// CoarsenTo stops multilevel coarsening once a level has at most this
-	// many vertices (0 = default 8000). Only used when Multilevel is set.
+	// many vertices (0 = default 8000). Only used by the "multilevel"
+	// engine.
 	CoarsenTo int
 	// ClusterSize caps coarsening clusters at this multiple of the average
-	// vertex weight (0 = default 32). Only used when Multilevel is set.
+	// vertex weight (0 = default 32). Only used by the "multilevel" engine.
 	ClusterSize int
 	// RefineIterations is the finest-level refinement budget of the V-cycle
-	// (0 = default 16). Only used when Multilevel is set.
+	// (0 = default 16). Only used by the "multilevel" engine.
 	RefineIterations int
 	// WarmAssignment, when non-nil, warm-starts the solve from a prior
 	// partition of the same or a similar graph (incremental repartitioning):
@@ -367,52 +357,6 @@ type Options struct {
 	// near a good solution, so most of the cold budget would be spent
 	// confirming it. Only used when WarmAssignment is set.
 	WarmIterations int
-	// Reorder selects a vertex-reordering pass applied to the gradient
-	// kernel's memory layout at solve time: "none" (or "", the default),
-	// "degree", "bfs" or "rcm" — see ReorderNames. Reordering is purely a
-	// kernel-layout detail: the permuted CSR keeps every row's arc-summation
-	// order, results are scattered back through the inverse permutation, and
-	// the partition is byte-identical to an unreordered solve at any
-	// Parallelism. Engines that do not run gradient kernels ignore it.
-	// Reorder is still folded into Fingerprint: the layout build has a real
-	// ingest cost, so two requests that differ only in ordering are distinct
-	// requests and never collide on a cache key.
-	Reorder string
-	// IncrementalGradient switches the GD core to delta gradient updates:
-	// once the trajectory settles, each iteration scatters only the moved
-	// coordinates' contributions instead of recomputing the full SpMV, with
-	// an exact recompute every ResyncEvery iterations. The trajectory between
-	// resyncs differs from the full recompute in final ulps, so this is a
-	// distinct solver configuration: it is covered by Fingerprint (its own
-	// cache entries, its own goldens) and remains bit-identical for a fixed
-	// Seed at any Parallelism. Only the gradient-descent engines honor it.
-	IncrementalGradient bool
-	// ResyncEvery is the incremental-gradient resync period: every this many
-	// iterations the gradient is recomputed exactly, bounding floating-point
-	// drift (0 = default 16; 1 recomputes every iteration, making the run
-	// byte-identical to IncrementalGradient=false). Only used when
-	// IncrementalGradient is set.
-	ResyncEvery int
-	// Kernel32 runs the gradient SpMV through float32 kernels: the iterate
-	// and edge weights are rounded to float32 per value — halving the
-	// gathered bytes per arc on the bandwidth-bound gradient step — while
-	// every row still accumulates in float64 in its original arc order.
-	// Results stay bit-identical for a fixed Seed at any Parallelism, but NOT
-	// bit-identical to the float64 kernels, so Kernel32 is a distinct solver
-	// configuration covered by Fingerprint. Only the gradient engines ("gd",
-	// "multilevel") support it — Partition refuses it on any other engine
-	// rather than silently splitting cache keys between identical results —
-	// and it is mutually exclusive with IncrementalGradient (the delta
-	// scatter maintains the float64 gradient).
-	Kernel32 bool
-	// PrepLayout, when non-nil, injects a prebuilt reorder layout (see
-	// PrepareLayout) so gradient engines skip the per-solve layout build when
-	// Reorder names the method the layout was prepared for. Injection can
-	// never change results — a reordered solve is byte-identical to an
-	// unreordered one, and engines re-verify the artifact against the graph
-	// being solved — so the field is deliberately EXCLUDED from Fingerprint
-	// and passed through Canonical untouched, like Observer.
-	PrepLayout *PreparedLayout
 	// PrepHierarchy, when non-nil, injects a prebuilt coarsening hierarchy
 	// (see PrepareHierarchy) so the "multilevel" and "metis" engines skip
 	// their coarsening pass on repeat solves of the same graph. The engines
@@ -434,35 +378,18 @@ type Options struct {
 	Observer *Span
 }
 
-// ReorderNames lists the accepted Options.Reorder values, "none" first.
-func ReorderNames() []string { return reorder.Names() }
-
-// ValidateReorder reports whether name is an accepted Options.Reorder value
-// ("" selects none). Used by front ends to fail fast on typos.
-func ValidateReorder(name string) error {
-	_, err := reorder.Parse(name)
-	return err
-}
-
 // Canonical returns the options with every defaulted field made explicit:
-// Engine resolves to its registry name (the deprecated Multilevel flag
-// canonicalizes to Engine = "multilevel", so both spellings fingerprint
-// identically), K, Epsilon, Iterations, StepLength and Projection take their
-// documented defaults, and the multilevel knobs are normalized — filled in
-// for the multilevel engine, zeroed otherwise (they have no effect then).
-// Partition(g, o) and Partition(g, o.Canonical()) produce identical results.
-// Weights, Parallelism, Observer and the prep-artifact injections
-// (PrepLayout, PrepHierarchy) are passed through untouched.
+// Engine resolves to its registry name, K, Epsilon, Iterations, StepLength
+// and Projection take their documented defaults, and the multilevel knobs
+// are normalized — filled in for the multilevel engine, zeroed otherwise
+// (they have no effect then). Partition(g, o) and
+// Partition(g, o.Canonical()) produce identical results. Weights,
+// Parallelism, Observer and the prep-artifact injection (PrepHierarchy) are
+// passed through untouched.
 func (o Options) Canonical() Options {
 	if o.Engine == "" {
 		o.Engine = DefaultEngine
-		if o.Multilevel {
-			o.Engine = "multilevel"
-		}
 	}
-	// Multilevel is only the alias: recompute it from the resolved engine so
-	// an explicit Engine plus a stale Multilevel flag cannot disagree.
-	o.Multilevel = o.Engine == "multilevel"
 	if o.K == 0 {
 		o.K = 2
 	}
@@ -478,7 +405,7 @@ func (o Options) Canonical() Options {
 	if o.Projection == "" {
 		o.Projection = project.AlternatingOneShot.String()
 	}
-	if o.Multilevel {
+	if o.Engine == "multilevel" {
 		if o.CoarsenTo <= 0 {
 			o.CoarsenTo = 8000
 		}
@@ -498,16 +425,6 @@ func (o Options) Canonical() Options {
 	} else {
 		o.WarmIterations = 0 // inert without a warm assignment
 	}
-	if o.Reorder == "" {
-		o.Reorder = reorder.None.String()
-	}
-	if o.IncrementalGradient {
-		if o.ResyncEvery <= 0 {
-			o.ResyncEvery = 16
-		}
-	} else {
-		o.ResyncEvery = 0 // inert without the incremental path
-	}
 	return o
 }
 
@@ -515,30 +432,22 @@ func (o Options) Canonical() Options {
 // the options half of a content-addressed cache key (pair it with
 // Graph.HashString for the graph half). Two option values that lead to the
 // same partition fingerprint identically: defaults are made explicit via
-// Canonical (so the deprecated Multilevel alias fingerprints the same as
-// Engine = "multilevel"), and Parallelism is excluded because results are
-// bit-identical at any worker count — as are the prep-artifact injections
-// (PrepLayout, PrepHierarchy), which amortize preprocessing without changing
-// a single output bit. Kernel32 IS covered: the float32 kernels produce
-// different (equally deterministic) bits. The engine name is always covered, so
-// distinct engines can never share a cache entry for the same graph.
+// Canonical, and Parallelism is excluded because results are bit-identical
+// at any worker count — as is the prep-artifact injection (PrepHierarchy),
+// which amortizes preprocessing without changing a single output bit. The
+// engine name is always covered, so distinct engines can never share a
+// cache entry for the same graph.
 // Weights vectors and the WarmAssignment, when set, contribute their exact
 // contents: a warm-started solve follows a different trajectory than a cold
 // one, so the two must never share a cache entry.
 func (o Options) Fingerprint() string {
 	c := o.Canonical()
 	h := sha256.New()
-	fmt.Fprintf(h, "engine=%s|k=%d|eps=%g|iters=%d|step=%g|proj=%s|seed=%d|noadapt=%t|nofix=%t|coarsen=%d|cluster=%d|refine=%d|warmiters=%d|reorder=%s|incgrad=%t|resync=%d|dims=%d",
+	fmt.Fprintf(h, "engine=%s|k=%d|eps=%g|iters=%d|step=%g|proj=%s|seed=%d|noadapt=%t|nofix=%t|coarsen=%d|cluster=%d|refine=%d|warmiters=%d|dims=%d",
 		c.Engine, c.K, c.Epsilon, c.Iterations, c.StepLength, c.Projection, c.Seed,
 		c.DisableAdaptiveStep, c.DisableVertexFixing,
 		c.CoarsenTo, c.ClusterSize, c.RefineIterations,
-		c.WarmIterations, c.Reorder, c.IncrementalGradient, c.ResyncEvery, len(c.Weights))
-	// Kernel32 selects numerically different (float32-rounded) kernels, so it
-	// must split cache keys — but only when set, so every pre-existing
-	// fingerprint (and golden) is unchanged for the default float64 kernels.
-	if c.Kernel32 {
-		fmt.Fprint(h, "|kernel32=true")
-	}
+		c.WarmIterations, len(c.Weights))
 	var buf [8]byte
 	for _, w := range c.Weights {
 		binary.LittleEndian.PutUint64(buf[:], uint64(len(w)))
@@ -586,26 +495,8 @@ func Partition(g *Graph, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Reorder is validated centrally so engines that ignore it (no gradient
-	// kernels) still reject typos instead of silently solving.
-	if err := ValidateReorder(c.Reorder); err != nil {
-		return nil, err
-	}
 	if c.WarmAssignment != nil && !eng.Info().WarmStart {
 		return nil, fmt.Errorf("mdbgp: engine %q does not support warm starts; solve cold or use a warm-capable engine", c.Engine)
-	}
-	if c.Kernel32 {
-		// Refuse rather than ignore: Kernel32 is fingerprinted, so an engine
-		// silently ignoring it would split cache keys between byte-identical
-		// results — and accepting it alongside the incremental gradient would
-		// break the resync contract (the delta scatter maintains the float64
-		// gradient the 32-bit recompute disagrees with).
-		if !eng.Info().Kernel32 {
-			return nil, fmt.Errorf("mdbgp: engine %q does not support the float32 kernels (Kernel32); use a gradient engine", c.Engine)
-		}
-		if c.IncrementalGradient {
-			return nil, fmt.Errorf("mdbgp: Kernel32 and IncrementalGradient are mutually exclusive")
-		}
 	}
 	return eng.Solve(g, c)
 }

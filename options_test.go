@@ -8,7 +8,7 @@ import (
 
 func TestCanonicalFillsDefaults(t *testing.T) {
 	c := Options{}.Canonical()
-	want := Options{Engine: "gd", K: 2, Epsilon: 0.05, Iterations: 100, StepLength: 2, Projection: "alternating-oneshot", Reorder: "none"}
+	want := Options{Engine: "gd", K: 2, Epsilon: 0.05, Iterations: 100, StepLength: 2, Projection: "alternating-oneshot"}
 	if !reflect.DeepEqual(c, want) {
 		t.Fatalf("Canonical() = %+v, want %+v", c, want)
 	}
@@ -18,30 +18,8 @@ func TestCanonicalFillsDefaults(t *testing.T) {
 	}
 }
 
-func TestCanonicalEngineAlias(t *testing.T) {
-	// The deprecated Multilevel flag is an alias for Engine = "multilevel":
-	// both spellings canonicalize — and therefore fingerprint — identically.
-	alias := Options{Multilevel: true}.Canonical()
-	explicit := Options{Engine: "multilevel"}.Canonical()
-	if !reflect.DeepEqual(alias, explicit) {
-		t.Fatalf("alias %+v != explicit %+v", alias, explicit)
-	}
-	if alias.Engine != "multilevel" || !alias.Multilevel {
-		t.Fatalf("alias did not resolve: %+v", alias)
-	}
-	// An explicit engine wins over a stale Multilevel flag: the flag is
-	// recomputed from the engine so the two can never disagree.
-	c := Options{Engine: "fennel", Multilevel: true}.Canonical()
-	if c.Engine != "fennel" || c.Multilevel {
-		t.Fatalf("explicit engine lost to the deprecated alias: %+v", c)
-	}
-	if c.CoarsenTo != 0 || c.ClusterSize != 0 || c.RefineIterations != 0 {
-		t.Fatalf("multilevel knobs survived on a non-multilevel engine: %+v", c)
-	}
-}
-
 func TestCanonicalMultilevelKnobs(t *testing.T) {
-	c := Options{Multilevel: true}.Canonical()
+	c := Options{Engine: "multilevel"}.Canonical()
 	if c.CoarsenTo != 8000 || c.ClusterSize != 32 || c.RefineIterations != 16 {
 		t.Fatalf("multilevel defaults not filled: %+v", c)
 	}
@@ -71,19 +49,6 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatal("Parallelism leaked into the fingerprint")
 	}
 
-	// Spelled-out inert kernel knobs fingerprint like the zero value:
-	// reorder=none is the default, and a resync period without the
-	// incremental path (like a warm budget without a warm start) is inert.
-	if (Options{Reorder: "none"}).Fingerprint() != fp {
-		t.Fatal("explicit Reorder=none should fingerprint identically to zero options")
-	}
-	if (Options{ResyncEvery: 5}).Fingerprint() != fp {
-		t.Fatal("ResyncEvery without IncrementalGradient leaked into the fingerprint")
-	}
-	if (Options{IncrementalGradient: true, ResyncEvery: 16}).Fingerprint() != (Options{IncrementalGradient: true}).Fingerprint() {
-		t.Fatal("explicit default ResyncEvery=16 should fingerprint like the implicit default")
-	}
-
 	// Every solver-relevant field must perturb the fingerprint.
 	perturbed := []Options{
 		{K: 4},
@@ -94,16 +59,11 @@ func TestFingerprintStability(t *testing.T) {
 		{Seed: 7},
 		{DisableAdaptiveStep: true},
 		{DisableVertexFixing: true},
-		{Multilevel: true},
-		{Multilevel: true, CoarsenTo: 100},
-		{Multilevel: true, ClusterSize: 4},
-		{Multilevel: true, RefineIterations: 2},
+		{Engine: "multilevel"},
+		{Engine: "multilevel", CoarsenTo: 100},
+		{Engine: "multilevel", ClusterSize: 4},
+		{Engine: "multilevel", RefineIterations: 2},
 		{Weights: [][]float64{{1, 2, 3}}},
-		{Reorder: "degree"},
-		{Reorder: "bfs"},
-		{Reorder: "rcm"},
-		{IncrementalGradient: true},
-		{IncrementalGradient: true, ResyncEvery: 4},
 	}
 	seen := map[string]int{fp: -1}
 	for i, o := range perturbed {
@@ -117,8 +77,8 @@ func TestFingerprintStability(t *testing.T) {
 
 // TestFingerprintEngineCollisionAudit is the cache-safety audit of the
 // engine registry: for one graph-shaped option set, every registered engine
-// — cold and warm (for warm-capable engines), deprecated alias and explicit
-// spelling — must yield a distinct fingerprint. A collision here would let
+// — cold and warm (for warm-capable engines) — must yield a distinct
+// fingerprint. A collision here would let
 // the content-addressed result cache serve one engine's assignment for
 // another.
 func TestFingerprintEngineCollisionAudit(t *testing.T) {
@@ -141,13 +101,6 @@ func TestFingerprintEngineCollisionAudit(t *testing.T) {
 		if info.WarmStart {
 			record("warm "+info.Name, Options{Engine: info.Name, K: 4, Seed: 42, WarmAssignment: warm}.Fingerprint())
 		}
-	}
-	// The deprecated alias must NOT add a distinct fingerprint: it is the
-	// same solve as the explicit multilevel engine.
-	alias := Options{Multilevel: true, K: 4, Seed: 42}.Fingerprint()
-	explicit := Options{Engine: "multilevel", K: 4, Seed: 42}.Fingerprint()
-	if alias != explicit {
-		t.Fatalf("Multilevel alias fingerprints differently from engine=multilevel:\n%s\n%s", alias, explicit)
 	}
 	if len(seen) != builtins+2 { // 6 cold + warm gd + warm multilevel
 		t.Fatalf("audit covered %d fingerprints, want %d", len(seen), builtins+2)

@@ -5,7 +5,6 @@ import (
 
 	"mdbgp/internal/metis"
 	"mdbgp/internal/multilevel"
-	"mdbgp/internal/reorder"
 )
 
 // Prepared artifacts are the assignment-independent half of a solve — work
@@ -13,46 +12,12 @@ import (
 // hierarchy-shaping options), not on which partition comes out. A front end
 // that sees the same graph repeatedly (the daemon's prep cache) builds the
 // artifact once, keyed by graph content hash plus the artifact's parameters,
-// and injects it into every subsequent solve via Options.PrepLayout /
-// Options.PrepHierarchy. Injection is strictly an amortization: a solve with
-// an artifact injected is byte-identical to one that rebuilds it, the engines
-// re-verify every artifact against the graph and options actually being
-// solved (a stale or mismatched injection degrades to a rebuild, never to a
-// wrong answer), and neither field participates in Fingerprint.
-
-// PreparedLayout is a reusable reorder layout for one specific graph: the
-// bandwidth-reduced CSR mirror the gradient engines would otherwise rebuild
-// on every solve (Options.Reorder). It is immutable and safe to inject into
-// concurrent solves — each solve clones it, sharing the permuted CSR but
-// never scratch buffers.
-type PreparedLayout struct {
-	graph  *Graph
-	method reorder.Method
-	layout *reorder.Layout
-}
-
-// PrepareLayout builds the reorder layout a gradient-engine solve of g with
-// Options.Reorder = method would build inline. The method must name a real
-// ordering ("degree", "bfs", "rcm"): "none" builds no layout and is an error
-// rather than a silent no-op artifact.
-func PrepareLayout(g *Graph, method string) (*PreparedLayout, error) {
-	m, err := reorder.Parse(method)
-	if err != nil {
-		return nil, err
-	}
-	if m == reorder.None {
-		return nil, fmt.Errorf("mdbgp: reorder %q builds no layout; nothing to prepare", method)
-	}
-	offsets, adj := g.CSR()
-	return &PreparedLayout{graph: g, method: m, layout: reorder.NewLayout(offsets, adj, nil, m)}, nil
-}
-
-// Method returns the canonical reorder method name the layout was built for
-// — one component of a prep-cache key.
-func (p *PreparedLayout) Method() string { return p.method.String() }
-
-// Bytes estimates the heap footprint of the layout for cache byte accounting.
-func (p *PreparedLayout) Bytes() int64 { return p.layout.Bytes() }
+// and injects it into every subsequent solve via Options.PrepHierarchy.
+// Injection is strictly an amortization: a solve with an artifact injected is
+// byte-identical to one that rebuilds it, the engines re-verify every
+// artifact against the graph and options actually being solved (a stale or
+// mismatched injection degrades to a rebuild, never to a wrong answer), and
+// the field does not participate in Fingerprint.
 
 // PreparedHierarchy is a reusable coarsening hierarchy for one specific graph
 // under one specific engine: the multilevel V-cycle's cluster hierarchy or

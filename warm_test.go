@@ -33,9 +33,9 @@ func warmScenario(t testing.TB, k int) (base, target *Graph, baseRes *Result, op
 // partitions at any worker count, for both the direct and multilevel paths.
 func TestWarmDeterminismAcrossWorkers(t *testing.T) {
 	_, target, baseRes, opts := warmScenario(t, 4)
-	for _, multilevel := range []bool{false, true} {
+	for _, engine := range []string{"gd", "multilevel"} {
 		o := opts
-		o.Multilevel = multilevel
+		o.Engine = engine
 		var golden []int32
 		for _, p := range []int{1, 2, 8} {
 			o.Parallelism = p
@@ -49,7 +49,7 @@ func TestWarmDeterminismAcrossWorkers(t *testing.T) {
 			}
 			for v := range golden {
 				if golden[v] != res.Assignment.Parts[v] {
-					t.Fatalf("multilevel=%t workers=%d: warm partition diverged at vertex %d", multilevel, p, v)
+					t.Fatalf("engine=%s workers=%d: warm partition diverged at vertex %d", engine, p, v)
 				}
 			}
 		}
