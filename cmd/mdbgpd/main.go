@@ -94,7 +94,7 @@ func parseFlags(args []string) (daemonOptions, error) {
 		par         = fs.Int("p", 0, "solver parallelism per job: 0 = all cores (results are seed-deterministic either way)")
 		retain      = fs.Int("retain", 1024, "completed jobs kept for polling")
 		maxWait     = fs.Duration("maxwait", 30*time.Second, "cap on ?wait=true blocking")
-		graphCache  = fs.Int("graph-cache", 64, "base graphs kept for delta (?base=) submissions (negative disables)")
+		graphCache  = fs.Int("graph-cache", 64, "base graphs kept for delta (?base=) submissions and byte-identical re-uploads (negative disables)")
 		maxChurn    = fs.Float64("max-churn", 0.25, "edge-churn fraction above which delta solves go cold instead of warm-starting (0 never warm-starts)")
 		maxChain    = fs.Int("max-chain-depth", 8, "warm delta-of-delta hops allowed before forcing a cold re-solve (<=0 lifts the limit)")
 		prepCache   = fs.Int64("prep-cache", 256, "prep-artifact cache budget in MiB: the coarsening hierarchies of multilevel and metis solves are retained per graph and reused by repeat solves (results are byte-identical either way; <=0 disables)")

@@ -327,6 +327,34 @@ func TestPartitionKEdgeCases(t *testing.T) {
 	}
 }
 
+// TestPartitionKFarAboveNSkipsEmptySubgraphs: at k = 2^20 on 16 vertices
+// the recursion never bisects an empty subgraph, so it makes at most
+// n·⌈log2 k⌉ bisections.
+func TestPartitionKFarAboveNSkipsEmptySubgraphs(t *testing.T) {
+	g := gen.Grid(4, 4, false)
+	ws := vertexEdgeWeights(g)
+	const k, levels = 1 << 20, 20
+	calls, empty := 0, 0
+	opt := DefaultOptions()
+	opt.Workers = 1 // serial, so the counters need no lock
+	asgn, err := PartitionKWith(g, ws, k, opt, func(sub *graph.Graph, ws [][]float64, o Options) (*Result, error) {
+		calls++
+		if sub.N() == 0 {
+			empty++
+		}
+		return Bisect(sub, ws, o)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := asgn.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if empty > 0 || calls > g.N()*levels {
+		t.Fatalf("%d bisections, %d of them of empty subgraphs; want at most %d, none empty", calls, empty, g.N()*levels)
+	}
+}
+
 func TestRepairBalanceDirect(t *testing.T) {
 	g := gen.ErdosRenyi(400, 1600, 22)
 	ws := vertexEdgeWeights(g)

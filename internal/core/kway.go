@@ -105,6 +105,11 @@ func recurse(sub *graph.Graph, ws [][]float64, ids []int32, k, base int, opt Opt
 		}
 		return nil
 	}
+	if sub.N() == 0 {
+		// Nothing to assign. Bisecting on would build about 2k empty
+		// subgraphs, weight slices and spans for nothing.
+		return nil
+	}
 	// The caller created sp before this branch was scheduled; its clock
 	// starts now, so waiting for a sibling subtree is not counted as time
 	// spent in this one.
@@ -175,12 +180,12 @@ func recurse(sub *graph.Graph, ws [][]float64, ids []int32, k, base int, opt Opt
 	// in the trace is part of the determinism contract. Each child's clock
 	// starts when its branch begins (recurse calls Begin), so when the
 	// branches run serially the right span does not also cover the left
-	// subtree. A k==1 child runs no bisection and gets no span.
+	// subtree. A k==1 or empty child runs no bisection and gets no span.
 	var spLeft, spRight *obs.Span
-	if k1 > 1 {
+	if k1 > 1 && len(leftLocal) > 0 {
 		spLeft = sp.Start("bisect")
 	}
-	if k-k1 > 1 {
+	if k-k1 > 1 && len(rightLocal) > 0 {
 		spRight = sp.Start("bisect")
 	}
 

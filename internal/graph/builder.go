@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates undirected edges and produces a canonical CSR Graph.
@@ -118,7 +118,7 @@ func sortInt32(a []int32) {
 		}
 		return
 	}
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+	slices.Sort(a)
 }
 
 // Edge is an undirected edge between two vertex ids.
@@ -150,6 +150,10 @@ func Subgraph(g *Graph, keep []int32) (*Graph, []int32) {
 		}
 		remap[old] = int32(newID)
 	}
+	// Rows are copied in g's (sorted) order, so with keep ascending the
+	// remap is monotone and every row comes out sorted; only another order
+	// needs a per-row sort to stay canonical.
+	ascending := slices.IsSorted(keep)
 	offsets := make([]int64, len(keep)+1)
 	for newID, old := range keep {
 		cnt := int64(0)
@@ -169,8 +173,9 @@ func Subgraph(g *Graph, keep []int32) (*Graph, []int32) {
 				pos++
 			}
 		}
-		// Rows stay sorted only if keep is monotone; sort to be canonical.
-		sortInt32(adj[offsets[newID]:pos])
+		if !ascending {
+			sortInt32(adj[offsets[newID]:pos])
+		}
 	}
 	ids := make([]int32, len(keep))
 	copy(ids, keep)

@@ -280,6 +280,59 @@ func TestSubgraphEmptyKeep(t *testing.T) {
 	}
 }
 
+// TestSubgraphMatchesSortedReference: for random graphs with hub rows long
+// enough to leave the insertion sort, and random keep sets in ascending and
+// in shuffled order, every row of Subgraph equals the row remapped in g's
+// order and then sorted, and the ids equal keep.
+func TestSubgraphMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(80)
+		b := NewBuilder(n)
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			b.AddEdge(rng.Intn(n), rng.Intn(n))
+		}
+		for hub := 0; hub < n; hub += 1 + rng.Intn(20) {
+			for v := 0; v < n; v += 1 + rng.Intn(2) {
+				b.AddEdge(hub, v)
+			}
+		}
+		g := b.Build()
+		var keep []int32
+		for v := 0; v < n; v++ {
+			if rng.Intn(4) > 0 {
+				keep = append(keep, int32(v))
+			}
+		}
+		if trial%2 == 1 {
+			rng.Shuffle(len(keep), func(i, j int) { keep[i], keep[j] = keep[j], keep[i] })
+		}
+		sub, ids := Subgraph(g, keep)
+		if !slices.Equal(ids, keep) || sub.N() != len(keep) {
+			t.Fatalf("trial %d: ids %v, n %d, want keep %v", trial, ids, sub.N(), keep)
+		}
+		remap := make(map[int32]int32, len(keep))
+		for i, v := range keep {
+			remap[v] = int32(i)
+		}
+		for i, v := range keep {
+			var want []int32
+			for _, w := range g.Neighbors(int(v)) {
+				if nw, ok := remap[w]; ok {
+					want = append(want, nw)
+				}
+			}
+			slices.Sort(want)
+			if got := sub.Neighbors(i); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (shuffled %v): row %d = %v, want %v", trial, trial%2 == 1, i, got, want)
+			}
+		}
+		if err := sub.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
 func TestSubgraphDuplicatePanics(t *testing.T) {
 	g := path(4)
 	defer func() {

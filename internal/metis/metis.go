@@ -204,6 +204,9 @@ func PartitionK(g *graph.Graph, ws [][]float64, k int, opt Options) (*partition.
 			}
 			return nil
 		}
+		if sub.N() == 0 {
+			return nil // nothing to assign; see core.recurse
+		}
 		k1 := (k + 1) / 2
 		o := opt
 		o.Seed = seed

@@ -117,6 +117,29 @@ func TestPartitionKEdgeCases(t *testing.T) {
 	}
 }
 
+// TestPartitionKFarAboveNStopsAtEmptySubgraphs: at k = 2^20 on 16 vertices
+// the recursion stops at empty subgraphs. At most n·⌈log2 k⌉ non-empty
+// bisections remain, and the bound allows each of them 100 allocations;
+// recursing down to k = 1 through every empty branch made about 9.4M.
+func TestPartitionKFarAboveNStopsAtEmptySubgraphs(t *testing.T) {
+	g := gen.Grid(4, 4, false)
+	ws, _ := weights.Standard(g, 1)
+	const k, levels = 1 << 20, 20
+	var a *partition.Assignment
+	allocs := testing.AllocsPerRun(1, func() {
+		var err error
+		if a, err = PartitionK(g, ws, k, Options{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if limit := float64(100 * g.N() * levels); allocs > limit {
+		t.Fatalf("%v allocations, want at most %v", allocs, limit)
+	}
+}
+
 func TestBisectAsymmetricAlpha(t *testing.T) {
 	g, _ := gen.SBM(gen.SBMConfig{N: 1500, Communities: 3, AvgDegree: 10, InFraction: 0.85, Seed: 10})
 	ws, _ := weights.Standard(g, 1)

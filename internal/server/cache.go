@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 
 	"mdbgp"
@@ -138,11 +139,17 @@ func resultBytes(res *mdbgp.Result) int64 {
 // An entry also keeps its graph's edge-traversing balance vectors (see
 // retainedDim) once a solve has computed them, charged to the entry's bytes
 // so the gauge and eviction release them together with the graph.
+//
+// An entry may also hold the digest of the last upload body that produced
+// it (see recordBody), indexed so that a byte-identical re-upload finds the
+// retained graph and its hash without decoding, validating or hashing the
+// body again.
 type graphCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List
 	items    map[string]*list.Element
+	bodies   map[bodyDigest]*list.Element // upload digest -> entry that holds it
 	bytes    int64
 	clamps   int64
 }
@@ -154,10 +161,26 @@ type graphEntry struct {
 	// vecs holds the retained balance vectors of g by dimension; shared
 	// read-only with every solve of g.
 	vecs map[mdbgp.Weight][]float64
+	// body is the digest of the last upload body that produced g, or zero
+	// when none is recorded; non-zero exactly when bodies indexes it.
+	body bodyDigest
 }
 
+// bodyDigest is the SHA-256 of an upload's codec tag and body bytes (see
+// digestUpload). The zero value means "no digest".
+type bodyDigest [sha256.Size]byte
+
+// bodyRecordBytes is what recording a digest adds to an entry's accounted
+// size: the index key, its element pointer and the map bucket share (the
+// entry's own digest field is inside entryOverhead).
+const bodyRecordBytes = sha256.Size + 32
+
 func newGraphCache(capacity int) *graphCache {
-	return &graphCache{capacity: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+	return &graphCache{
+		capacity: capacity, ll: list.New(),
+		items:  make(map[string]*list.Element),
+		bodies: make(map[bodyDigest]*list.Element),
+	}
 }
 
 // getOrPut returns the canonical retained instance of the graph under hash,
@@ -187,11 +210,52 @@ func (c *graphCache) getOrPut(hash string, g *mdbgp.Graph) (*mdbgp.Graph, int) {
 		old := back.Value.(*graphEntry)
 		c.ll.Remove(back)
 		delete(c.items, old.key)
+		if old.body != (bodyDigest{}) {
+			delete(c.bodies, old.body)
+		}
 		c.bytes -= old.bytes
 		evicted++
 	}
 	clampBytes(&c.bytes, &c.clamps)
 	return g, evicted
+}
+
+// lookupBody returns the graph and hash of the entry holding upload digest
+// d, promoting it to most recent.
+func (c *graphCache) lookupBody(d bodyDigest) (hash string, g *mdbgp.Graph, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.bodies[d]
+	if !ok {
+		return "", nil, false
+	}
+	c.ll.MoveToFront(el)
+	e := el.Value.(*graphEntry)
+	return e.key, e.g, true
+}
+
+// recordBody records d as the digest of the upload that produced g under
+// hash, replacing the entry's previous digest. Callers record only a body
+// that passed every ingest check and whose hash the server computed itself:
+// a later lookupBody hands g and hash to a byte-identical upload without
+// checking it again. Because one body always yields one graph and hash, no
+// two entries can hold the same digest. Nothing is recorded unless the entry
+// under hash holds this instance of g.
+func (c *graphCache) recordBody(hash string, g *mdbgp.Graph, d bodyDigest) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entryFor(hash, g)
+	if e == nil || e.body == d {
+		return
+	}
+	if e.body != (bodyDigest{}) {
+		delete(c.bodies, e.body)
+	} else {
+		e.bytes += bodyRecordBytes
+		c.bytes += bodyRecordBytes
+	}
+	e.body = d
+	c.bodies[d] = c.items[hash]
 }
 
 // get returns the cached graph for the hash, promoting it to most recent.

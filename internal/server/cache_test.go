@@ -246,12 +246,15 @@ func TestGraphCacheWeights(t *testing.T) {
 }
 
 // recomputeGraphBytes walks the live entries and recomputes the ground-truth
-// byte total — CSR, key, bookkeeping and every retained vector — from
-// scratch.
+// byte total — CSR, key, bookkeeping, every retained vector and every digest
+// record — from scratch. It also checks that the digest index and the
+// entries agree: every indexed digest points at a live entry holding it, and
+// every digest an entry holds is indexed.
 func recomputeGraphBytes(t *testing.T, c *graphCache) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var total int64
+	recorded := 0
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*graphEntry)
 		total += graphEntryBytes(e.key, e.g)
@@ -261,21 +264,40 @@ func recomputeGraphBytes(t *testing.T, c *graphCache) int64 {
 			}
 			total += vecBytes(v)
 		}
+		if e.body != (bodyDigest{}) {
+			total += bodyRecordBytes
+			recorded++
+			if c.bodies[e.body] != el {
+				t.Fatalf("entry %s holds a digest the index does not point at it", e.key)
+			}
+		}
+	}
+	for d, el := range c.bodies {
+		if e := el.Value.(*graphEntry); c.items[e.key] != el || e.body != d {
+			t.Fatalf("the digest index points at an evicted or replaced entry (%s)", e.key)
+		}
+	}
+	if len(c.bodies) != recorded {
+		t.Fatalf("digest index holds %d records, entries hold %d", len(c.bodies), recorded)
 	}
 	return total
 }
 
-// TestGraphCacheBytesHammer churns the graph cache with random getOrPut, get
-// and weights calls — two instances per hash, so vectors computed for a
-// replaced instance must not land on its successor — and evictions,
-// asserting after every operation that the byte gauge equals a recomputed
-// ground truth and that every returned vector is StandardWeights' bits.
-// Then it checks that an evicted entry's vectors are released.
+// TestGraphCacheBytesHammer churns the graph cache with random getOrPut,
+// get, weights, recordBody and lookupBody calls — two instances per hash, so
+// vectors computed for a replaced instance must not land on its successor,
+// and two upload digests per hash — and evictions, asserting after every
+// operation that the byte gauge equals a recomputed ground truth (which also
+// checks that the digest index never points at an evicted entry), that
+// every returned vector is StandardWeights' bits, and that a digest lookup
+// returns only the instance the digest was recorded with. Then it checks
+// that an evicted entry's vectors are released.
 func TestGraphCacheBytesHammer(t *testing.T) {
 	const graphs = 12
 	type slot struct {
-		inst [2]*mdbgp.Graph
-		ref  map[mdbgp.Weight][]uint64
+		inst   [2]*mdbgp.Graph
+		ref    map[mdbgp.Weight][]uint64
+		bodies [2]bodyDigest
 	}
 	all := []mdbgp.Weight{mdbgp.WeightVertices, mdbgp.WeightEdges, mdbgp.WeightNeighborDegrees, mdbgp.WeightPageRank}
 	slots := make([]slot, graphs)
@@ -292,7 +314,11 @@ func TestGraphCacheBytesHammer(t *testing.T) {
 		for d, b := range weightBits(ws) {
 			slots[i].ref[all[d]] = b
 		}
+		for j := range slots[i].bodies {
+			slots[i].bodies[j] = digestUpload(codecText, []byte(fmt.Sprintf("body %d of graph %d", j, i)))
+		}
 	}
+	recordedWith := make(map[bodyDigest]*mdbgp.Graph)
 	dimSets := [][]mdbgp.Weight{
 		{mdbgp.WeightVertices, mdbgp.WeightEdges},
 		{mdbgp.WeightVertices, mdbgp.WeightEdges, mdbgp.WeightPageRank},
@@ -304,11 +330,32 @@ func TestGraphCacheBytesHammer(t *testing.T) {
 	for op := 0; op < 4000; op++ {
 		i := rng.Intn(graphs)
 		hash, g := fmt.Sprintf("h%d", i), slots[i].inst[rng.Intn(2)]
-		switch rng.Intn(3) {
+		j := rng.Intn(2)
+		d, other := slots[i].bodies[j], slots[i].bodies[1-j]
+		switch rng.Intn(5) {
 		case 0:
 			c.getOrPut(hash, g)
 		case 1:
 			c.get(hash)
+		case 2:
+			c.mu.Lock()
+			holds := c.entryFor(hash, g) != nil
+			c.mu.Unlock()
+			c.recordBody(hash, g, d)
+			if !holds {
+				break
+			}
+			recordedWith[d] = g
+			if h, got, ok := c.lookupBody(d); !ok || h != hash || got != g {
+				t.Fatalf("op %d: digest recorded on %s is not found there", op, hash)
+			}
+			if _, _, ok := c.lookupBody(other); ok {
+				t.Fatalf("op %d: %s still answers for the digest it held before", op, hash)
+			}
+		case 3:
+			if h, got, ok := c.lookupBody(d); ok && (h != hash || got != recordedWith[d]) {
+				t.Fatalf("op %d: digest lookup returned %s's other instance or another graph", op, hash)
+			}
 		default:
 			dims := dimSets[rng.Intn(len(dimSets))]
 			ws, _, err := c.weights(hash, g, dims)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,6 +37,96 @@ type ingestInfo struct {
 	hash  string // canonical content hash
 	mode  string
 	spill *spillFile // non-nil only for out-of-core
+	// body is the upload digest dispatch records on g's graph-cache entry;
+	// zero when the upload must not be served from that record (deltas,
+	// out-of-core, a hash taken from a trusted header).
+	body   bodyDigest
+	reused bool // the graph came from the graph cache by body digest
+}
+
+// Codec tags that lead every upload digest, so identical bytes sent as text
+// and as binary never share a record.
+const (
+	codecText   = 't'
+	codecBinary = 'b'
+)
+
+// digestUpload is the SHA-256 of a resident upload's codec tag and every
+// body byte: the key a byte-identical re-upload is recognized by.
+func digestUpload(codec byte, body []byte) bodyDigest {
+	h := sha256.New()
+	h.Write([]byte{codec})
+	h.Write(body)
+	var d bodyDigest
+	h.Sum(d[:0])
+	return d
+}
+
+// readUpload reads a resident upload into one buffer that starts with
+// prefix, the bytes the caller already consumed from body. The buffer is
+// presized from Content-Length, capped by MaxBodyBytes, so a body of the
+// announced size is read without regrowing it; ReadFrom wants MinRead free
+// bytes before each read, the one that reports EOF included. On error it
+// writes the HTTP response (413 past MaxBodyBytes) and returns false.
+func (s *Server) readUpload(w http.ResponseWriter, r *http.Request, body io.Reader, prefix []byte) ([]byte, bool) {
+	size := int64(len(prefix))
+	if r.ContentLength > size {
+		size = min(r.ContentLength, s.cfg.MaxBodyBytes)
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(size) + bytes.MinRead)
+	buf.Write(prefix)
+	if _, err := buf.ReadFrom(body); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes))
+			return nil, false
+		}
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// reuseUpload serves a byte-identical re-upload from the graph cache: when
+// an entry holds digest d, the request goes on with the retained graph and
+// its hash, which is where decoding, validating and hashing the body again
+// would have led dispatch. A trusted hash header naming another hash takes
+// the slow path, which honors the header. Returns nil on a miss.
+func (s *Server) reuseUpload(r *http.Request, d bodyDigest) *ingestInfo {
+	hash, g, ok := s.graphs.lookupBody(d)
+	if !ok {
+		return nil
+	}
+	if h := s.trustedHash(r); h != "" && h != hash {
+		return nil
+	}
+	s.met.ingestReused.Add(1)
+	return &ingestInfo{g: g, n: g.N(), m: g.M(), hash: hash, mode: ingestModeResident, body: d, reused: true}
+}
+
+// residentIngest completes a resident upload that passed every check. The
+// graph hash comes from a trusted header when one is configured and well
+// formed, otherwise from g; only a hash computed here lets dispatch record
+// the upload's digest d.
+func (s *Server) residentIngest(r *http.Request, g *mdbgp.Graph, d bodyDigest) *ingestInfo {
+	ing := &ingestInfo{g: g, n: g.N(), m: g.M(), mode: ingestModeResident}
+	if ing.hash = s.trustedHash(r); ing.hash == "" {
+		ing.hash = g.HashString()
+		ing.body = d
+	}
+	return ing
+}
+
+// trustedHash is the graph hash a trusted router forwarded, or "" when the
+// server does not trust the header or it is malformed. The header is an
+// optimization hint, never load-bearing for correctness: without it the
+// server hashes the graph itself.
+func (s *Server) trustedHash(r *http.Request) string {
+	if !s.cfg.TrustHashHeader {
+		return ""
+	}
+	return normalizeHash(r.Header.Get(GraphHashHeader))
 }
 
 // spillFile is a validated wire-format graph parked on disk for out-of-core
@@ -116,7 +207,10 @@ func (s *symmetryXOR) symmetric() bool { return s.acc == 0 }
 // ingestBinary handles a Content-Type: application/x-mdbgp-csr body: parse
 // and validate the wire header, then either materialize the CSR (within the
 // resident-edge budget) or validate-and-spill the stream to disk for an
-// out-of-core solve. On error it writes the HTTP response and returns nil.
+// out-of-core solve. A resident body is read whole and digested first, so a
+// byte-identical re-upload skips decoding, validation and hashing (see
+// reuseUpload); an out-of-core body streams to the spill and is never
+// buffered. On error it writes the HTTP response and returns nil.
 // It may rewrite req.opts.Engine (and req.engine) when auto-routing an
 // oversized graph to a streaming engine.
 func (s *Server) ingestBinary(w http.ResponseWriter, r *http.Request, req *submitRequest) *ingestInfo {
@@ -152,13 +246,16 @@ func (s *Server) ingestBinary(w http.ResponseWriter, r *http.Request, req *submi
 		return s.ingestOutOfCore(w, req, hdr, hb[:], body, r)
 	}
 
-	g, _, err := wire.Decode(io.MultiReader(bytes.NewReader(hb[:]), body))
+	raw, ok := s.readUpload(w, r, body, hb[:])
+	if !ok {
+		return nil
+	}
+	d := digestUpload(codecBinary, raw)
+	if ing := s.reuseUpload(r, d); ing != nil {
+		return ing
+	}
+	g, _, err := wire.Decode(bytes.NewReader(raw))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return nil
-		}
 		httpError(w, http.StatusBadRequest, err.Error())
 		return nil
 	}
@@ -169,14 +266,7 @@ func (s *Server) ingestBinary(w http.ResponseWriter, r *http.Request, req *submi
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("binary graph invalid: %v (the payload must be the canonical symmetric CSR; see docs/WIRE_FORMAT.md)", err))
 		return nil
 	}
-	hash := ""
-	if s.cfg.TrustHashHeader {
-		hash = normalizeHash(r.Header.Get(GraphHashHeader))
-	}
-	if hash == "" {
-		hash = g.HashString()
-	}
-	return &ingestInfo{g: g, n: g.N(), m: g.M(), hash: hash, mode: ingestModeResident}
+	return s.residentIngest(r, g, d)
 }
 
 // ingestOutOfCore is the above-budget binary path: route to a streaming
@@ -281,10 +371,7 @@ func (s *Server) ingestOutOfCore(w http.ResponseWriter, req *submitRequest, hdr 
 	s.met.spillBytes.Add(size)
 	sp := &spillFile{path: final, hdr: hdr, s: s}
 
-	hash := ""
-	if s.cfg.TrustHashHeader {
-		hash = normalizeHash(r.Header.Get(GraphHashHeader))
-	}
+	hash := s.trustedHash(r)
 	if hash == "" {
 		hash, _, err = wire.HashGraph(func() (io.ReadCloser, error) {
 			return os.Open(sp.path)

@@ -41,6 +41,7 @@ type metrics struct {
 	warmFetched     atomic.Int64 // entries pulled from peers during cache warming
 	warmErrors      atomic.Int64 // failed peer polls/fetches during cache warming
 	binarySubmitted atomic.Int64 // submissions in the binary wire format
+	ingestReused    atomic.Int64 // uploads served from the graph cache by body digest
 	oocSubmitted    atomic.Int64 // submissions that took the out-of-core path
 	spillBytes      atomic.Int64 // cumulative bytes written to spill files
 	spillActive     atomic.Int64 // spill files currently on disk
@@ -65,7 +66,7 @@ func (m *metrics) init() {
 	m.queueWaitHist = obs.NewHistogram(nil)
 }
 
-// recordIngest records one request-body parse+hash duration.
+// recordIngest records one request-body ingest duration.
 func (m *metrics) recordIngest(d time.Duration) {
 	if m.ingestHist != nil {
 		m.ingestHist.Observe(d)
@@ -154,6 +155,7 @@ type metricsSnapshot struct {
 	deltaSubmitted, deltaWarm, deltaCold                   int64
 	deltaChainReset, baseMisses, graphEvictions            int64
 	binarySubmitted, oocSubmitted, spillBytes, spillActive int64
+	ingestReused                                           int64
 	diskEnabled                                            bool
 	diskHits, diskMisses, diskErrors, diskBytes            int64
 	diskEntries, warmFetched, warmErrors                   int64
@@ -191,6 +193,7 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 		baseMisses:      m.baseMisses.Load(),
 		graphEvictions:  m.graphEvictions.Load(),
 		binarySubmitted: m.binarySubmitted.Load(),
+		ingestReused:    m.ingestReused.Load(),
 		oocSubmitted:    m.oocSubmitted.Load(),
 		spillBytes:      m.spillBytes.Load(),
 		spillActive:     m.spillActive.Load(),
@@ -243,6 +246,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("mdbgpd_delta_base_misses_total", "Delta submissions rejected because the base graph was unknown or evicted.", snap.baseMisses)
 	counter("mdbgpd_graph_cache_evictions_total", "Base graphs evicted from the graph cache.", snap.graphEvictions)
 	counter("mdbgpd_ingest_binary_total", "Submissions received in the binary wire format (application/x-mdbgp-csr).", snap.binarySubmitted)
+	counter("mdbgpd_ingest_reused_total", "Uploads byte-identical to one that produced a retained graph, served without decoding, validating or hashing the body.", snap.ingestReused)
 	counter("mdbgpd_ooc_jobs_total", "Submissions that exceeded the resident-edge budget and took the out-of-core path.", snap.oocSubmitted)
 	counter("mdbgpd_spill_bytes_total", "Cumulative bytes written to out-of-core spill files.", snap.spillBytes)
 	gauge("mdbgpd_spill_active", "Out-of-core spill files currently on disk.", snap.spillActive)
@@ -266,7 +270,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(&b, "# HELP mdbgpd_queue_wait_seconds Time a job waited in the bounded queue before a worker picked it up.\n# TYPE mdbgpd_queue_wait_seconds histogram\n")
 	obs.WritePromHistogram(&b, "mdbgpd_queue_wait_seconds", "", snap.queueWait)
-	fmt.Fprintf(&b, "# HELP mdbgpd_ingest_duration_seconds Wall time parsing and hashing one request body.\n# TYPE mdbgpd_ingest_duration_seconds histogram\n")
+	fmt.Fprintf(&b, "# HELP mdbgpd_ingest_duration_seconds Wall time ingesting one request body: reading, parsing and hashing it, or reading and digesting a re-upload served from the graph cache.\n# TYPE mdbgpd_ingest_duration_seconds histogram\n")
 	obs.WritePromHistogram(&b, "mdbgpd_ingest_duration_seconds", "", snap.ingest)
 	gauge("mdbgpd_jobs_running", "Jobs currently being solved.", snap.jobsRunning)
 	gauge("mdbgpd_queue_depth", "Jobs waiting in the bounded queue.", snap.queueDepth)

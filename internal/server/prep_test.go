@@ -288,9 +288,9 @@ func TestConcurrentFirstSolvesShareWeights(t *testing.T) {
 			t.Fatalf("%s: assignment differs from a daemon without retained vectors", q)
 		}
 	}
-	want := graphEntryBytes(g.HashString(), g) + 2*8*int64(g.N())
+	want := graphEntryBytes(g.HashString(), g) + 2*8*int64(g.N()) + bodyRecordBytes
 	if b := metric(t, ts, "mdbgpd_graph_cache_bytes"); b != float64(want) {
-		t.Fatalf("graph cache bytes = %g, want %d (CSR plus PageRank and neighbor-degree vectors)", b, want)
+		t.Fatalf("graph cache bytes = %g, want %d (CSR, PageRank and neighbor-degree vectors, and the upload's digest)", b, want)
 	}
 	_, m := submit(t, ts, "k=8&seed=5&iters=30&dims=vertices,edges,pagerank&wait=true", body)
 	id := m["job_id"].(string)

@@ -33,19 +33,21 @@
 //	                              listener goes away
 //	GET  /metrics                 Prometheus text exposition
 //
-// Requests are content-addressed: the edge-list body is streamed into the
-// canonical CSR builder and hashed, options are canonicalized and
-// fingerprinted (mdbgp.Options.Fingerprint), and the pair keys the result
-// cache. Repeat and near-duplicate traffic — reordered edge lists, duplicate
-// edges, explicitly spelled-out defaults, any Parallelism — is served from
-// the cache without re-solving; identical requests already in flight are
-// coalesced onto the same job. Results are deterministic for a fixed seed
-// at any worker count, so cached and freshly solved responses are
+// Requests are content-addressed: the body is parsed into the canonical CSR
+// and hashed, options are canonicalized and fingerprinted
+// (mdbgp.Options.Fingerprint), and the pair keys the result cache. A
+// byte-identical re-upload of a retained graph skips the parse and the hash
+// (see reuseUpload). Repeat and near-duplicate traffic — reordered edge
+// lists, duplicate edges, explicitly spelled-out defaults, any Parallelism —
+// is served from the cache without re-solving; identical requests already
+// in flight are coalesced onto the same job. Results are deterministic for a
+// fixed seed at any worker count, so cached and freshly solved responses are
 // byte-identical.
 package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -97,9 +99,10 @@ type Config struct {
 	// back to the async response (0 = 30s).
 	MaxWait time.Duration
 	// GraphCacheEntries bounds the base-graph cache delta submissions
-	// (?base=...) resolve against (0 = 64, negative disables — every delta
-	// then fails with "resubmit the full graph"). Graphs are much larger
-	// than results, hence the separate, smaller bound.
+	// (?base=...) resolve against and byte-identical re-uploads are served
+	// from (0 = 64, negative disables — every delta then fails with
+	// "resubmit the full graph"). Graphs are much larger than results, hence
+	// the separate, smaller bound.
 	GraphCacheEntries int
 	// MaxChurn is the effective edge-churn fraction (symmetric difference /
 	// base edges) above which a delta submission is solved cold even when a
@@ -560,27 +563,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ingSpan.SetAttr("n", ing.n)
 		ingSpan.SetAttr("m", ing.m)
 		ingSpan.SetAttr("mode", ing.mode)
+		ingSpan.SetAttr("reused", ing.reused)
 		ingSpan.End()
 	}
 	s.dispatch(w, r, req, ing, req.opts.Canonical(), nil, root)
 }
 
-// ingestText is the text edge-list codec: stream "u v" lines into the
-// canonical CSR builder. On error it writes the HTTP response and returns
-// nil. The resident-edge budget applies here too, but as policy rather than
-// protection — the text parser must materialize the graph before it knows
-// the edge count, so memory during parse is bounded by MaxBodyBytes, not by
-// the budget. Clients with genuinely large graphs are pointed at the binary
-// codec, whose header announces the size up front.
+// ingestText is the text edge-list codec: read the body, and unless it is a
+// byte-identical re-upload of a retained graph (see reuseUpload), parse its
+// "u v" lines into the canonical CSR builder. On error it writes the HTTP
+// response and returns nil. The resident-edge budget applies here too, but
+// as policy rather than protection — the text parser must materialize the
+// graph before it knows the edge count, so memory during parse is bounded
+// by MaxBodyBytes, not by the budget. Clients with genuinely large graphs
+// are pointed at the binary codec, whose header announces the size up
+// front.
 func (s *Server) ingestText(w http.ResponseWriter, r *http.Request) *ingestInfo {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body, ok := s.readUpload(w, r, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), nil)
+	if !ok {
+		return nil
+	}
+	d := digestUpload(codecText, body)
+	if ing := s.reuseUpload(r, d); ing != nil {
+		return ing
+	}
 	b := mdbgp.NewBuilder(0)
-	if err := mdbgp.ReadEdgeListInto(b, body, s.cfg.MaxVertexID); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return nil
-		}
+	if err := mdbgp.ReadEdgeListInto(b, bytes.NewReader(body), s.cfg.MaxVertexID); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return nil
 	}
@@ -595,18 +603,7 @@ func (s *Server) ingestText(w http.ResponseWriter, r *http.Request) *ingestInfo 
 			g.M(), s.cfg.MaxResidentEdges, wire.ContentType))
 		return nil
 	}
-	// Hashing is part of the ingest cost — unless a trusted router already
-	// paid it at the edge and forwarded the result. A malformed header falls
-	// back to hashing locally rather than erroring: the header is an
-	// optimization hint, never load-bearing for correctness.
-	hash := ""
-	if s.cfg.TrustHashHeader {
-		hash = normalizeHash(r.Header.Get(GraphHashHeader))
-	}
-	if hash == "" {
-		hash = g.HashString()
-	}
-	return &ingestInfo{g: g, n: g.N(), m: g.M(), hash: hash, mode: ingestModeResident}
+	return s.residentIngest(r, g, d)
 }
 
 // newRequestTrace opens the root span of one submission, or nil (a no-op
@@ -811,11 +808,15 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, req submitRequ
 		// Out-of-core graphs never materialize, so they never become bases.
 		// The cache also canonicalizes: a repeat submission of the same graph
 		// bytes proceeds with the RETAINED instance, so prep artifacts keyed
-		// by pointer identity survive resubmission.
+		// by pointer identity survive resubmission. The upload's digest goes
+		// on that entry, so the next byte-identical upload skips ingest.
 		canon, ev := s.graphs.getOrPut(ing.hash, ing.g)
 		ing.g = canon
 		if ev > 0 {
 			s.met.graphEvictions.Add(int64(ev))
+		}
+		if ing.body != (bodyDigest{}) {
+			s.graphs.recordBody(ing.hash, canon, ing.body)
 		}
 	}
 

@@ -2,6 +2,9 @@ package mdbgp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -65,6 +68,47 @@ func TestPartitionCustomWeightsAndProjection(t *testing.T) {
 	}
 	if MaxImbalance(res.Assignment, ws) > 0.06 {
 		t.Fatalf("d=4 imbalance %.4f", MaxImbalance(res.Assignment, ws))
+	}
+}
+
+// TestPartitionKFarAboveN: at k far above n the recursive split stops at
+// empty subgraphs instead of bisecting them down to k = 1. The parts hashes
+// are the ones the full recursion gave (each branch derives its own seed, so
+// skipping empty branches cannot move a vertex), each level of the
+// recursion traces at most one bisect span per vertex, and no span stands
+// for an empty subgraph.
+func TestPartitionKFarAboveN(t *testing.T) {
+	g, _ := GenerateSocialGraph(SocialGraphConfig{N: 200, Communities: 4, AvgDegree: 8, InFraction: 0.85, Seed: 11})
+	const k, levels = 1 << 20, 20
+	for _, tc := range []struct{ engine, parts string }{
+		{"gd", "59791f3fa6a0131359bf7e80c05539d566e3a7f400e049b43a38cee87026a55b"},
+		{"multilevel", "59791f3fa6a0131359bf7e80c05539d566e3a7f400e049b43a38cee87026a55b"},
+		{"metis", "da092237e2e57799d6d44cc2453f042a53151bef26d0b8c30e640d2b2424a6b8"},
+	} {
+		t.Run(tc.engine, func(t *testing.T) {
+			root := NewTrace("solve")
+			res, err := Partition(g, Options{K: k, Engine: tc.engine, Seed: 3, Parallelism: 1, Observer: root})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			binary.Write(h, binary.LittleEndian, res.Assignment.Parts)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.parts {
+				t.Fatalf("parts hash %s, want %s", got, tc.parts)
+			}
+			bisects, empty := 0, 0
+			root.Snapshot().Walk(func(v *SpanView) {
+				if v.Name == "bisect" {
+					bisects++
+					if n, _ := v.Attrs["n"].(int); n == 0 {
+						empty++
+					}
+				}
+			})
+			if bisects > g.N()*levels || empty > 0 {
+				t.Fatalf("%d bisect spans, %d of them for empty subgraphs; want at most n·⌈log2 k⌉ = %d, none empty", bisects, empty, g.N()*levels)
+			}
+		})
 	}
 }
 
